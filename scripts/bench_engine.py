@@ -27,6 +27,7 @@ to a smoke run for CI.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -36,6 +37,30 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_engine.json"
+
+
+def _machine() -> dict:
+    """Where a measurement was taken: interpreter, platform, CPU count
+    and the git revision of the measured tree (``git_dirty`` when it had
+    uncommitted changes to tracked files)."""
+    def git(*args: str) -> str | None:
+        try:
+            return subprocess.run(
+                ["git", *args], cwd=ROOT, capture_output=True, text=True,
+                check=True,
+            ).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            return None
+
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "cpu_count": os.cpu_count(),
+        "git_rev": git("rev-parse", "--short", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
 
 
 def _batch_workloads():
@@ -171,12 +196,7 @@ def bench_batch(repeats: int = 3) -> int:
 
     record = json.loads(OUT.read_text()) if OUT.exists() else {}
     record["batch_vs_serial"] = section
-    record.setdefault("machine", {})
-    record["machine"] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "system": platform.system(),
-    }
+    record["machine"] = _machine()
     OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     print(f"wrote {OUT}")
     return 0
@@ -234,6 +254,7 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
     if write:
         record = json.loads(OUT.read_text()) if OUT.exists() else {}
         record["batch_profile"] = {"e1_style_one_to_one": section}
+        record["machine"] = _machine()
         OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {OUT}")
     return 0
@@ -286,11 +307,7 @@ def main() -> int:
     OUT.write_text(
         json.dumps(
             {
-                "machine": {
-                    "python": platform.python_version(),
-                    "machine": platform.machine(),
-                    "system": platform.system(),
-                },
+                "machine": _machine(),
                 "sparse_vs_dense_large_L": speedups,
                 "benchmarks": benchmarks,
             },

@@ -96,14 +96,19 @@ def bernoulli_positions(
     return positions[positions < length]
 
 
-def _sorted_distinct(keys: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of ``keys`` (``np.unique`` without the
-    hash-table detour — the rejection loops re-dedup near-sorted key
-    sets every round, where an in-place sort plus adjacency mask wins).
+def _sorted_distinct(keys: np.ndarray, kind: str | None = None) -> np.ndarray:
+    """Sorted distinct values of ``keys``: an in-place sort plus an
+    adjacency mask (``np.unique`` without its extra passes).
+
+    The lockstep kernel dedups each rejection round's new keys alone and
+    then merges them into its sorted accumulator with
+    ``kind="stable"``: on two concatenated sorted runs that sort is a
+    linear merge, and distinct values of the two runs meet as adjacent
+    duplicates.
     """
     if not len(keys):
         return keys
-    keys.sort()
+    keys.sort(kind=kind)
     keep = np.empty(len(keys), dtype=bool)
     keep[0] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
@@ -283,14 +288,6 @@ def sample_action_events(
     return sends, listens
 
 
-#: Positions budget marking the array-bound regime.  A batch that
-#: degenerates to a single drawing trial gains nothing from the global
-#: key axis and is handed to the serial helper; past this scale even
-#: the bookkeeping constants stop mattering (the dispatch tests build
-#: such a trial to pin the regimes against each other).
-_LOCKSTEP_MAX_WANT = 512
-
-
 def _lockstep_light_subsets(
     rngs: list[np.random.Generator],
     lengths: np.ndarray,
@@ -309,152 +306,121 @@ def _lockstep_light_subsets(
     path exactly, which is what pins per-trial streams under batching.
     All deterministic processing — dedup, counting, trimming — runs
     once on a global key axis: trial ``i`` owns keys
-    ``[K_i, K_i + n * L_i)``, so one sort-dedup resolves every
-    trial's rejection round at once, and per-trial segments of the
-    sorted global array equal the trials' serial results.
+    ``[K_i, K_i + n * L_i)``, so one sorted key array holds every
+    trial's rejection state, and per-trial segments of it equal the
+    trials' serial results.
     """
     nt = len(lock)
     L = lengths[lock]
     C = counts2d[lock]
     n = C.shape[1]
-    uniform_l = int(L[0]) if (L == L[0]).all() else 0
     # Row-major nonzero is trial-major with nodes ascending — the
-    # construction order the serial per-trial scans produce.
+    # construction order the serial per-trial scans produce.  Each
+    # (trial, node) pair is one *segment* of the sorted key axis.
     tr, nd = np.nonzero(C)
     # Global key layout: trial i's (node, slot) pairs map injectively to
-    # [K[i], K[i] + n * L_i); bases[j] is light node j's key origin.
+    # [K[i], K[i] + n * L_i); bases[j] is segment j's key origin.
     dom = n * L
     K = np.zeros(nt, dtype=np.int64)
     np.cumsum(dom[:-1], out=K[1:])
     bases = K[tr] + nd * L[tr]
-    trial_of = tr
     want = C[tr, nd]
-    # Every key lands in some light node's range, so per-node counts are
-    # differences of boundary positions — searching the few node edges
-    # into the big sorted key array is O(n log K), not O(K log n).
-    edges = np.append(bases, K[-1] + dom[-1])
+    # Every key lands in some segment's range, so per-segment counts are
+    # differences of boundary positions — searching the few segment
+    # edges into the big sorted key array is O(n log K), not O(K log n).
+    edges = np.concatenate([bases, K[-1:] + dom[-1:]])
+    gens = [rngs[t] for t in lock.tolist()]
+    L_list = L.tolist()
 
-    keys = np.empty(0, dtype=np.int64)
-    need = want.copy()
-    have = np.zeros(len(bases), dtype=np.int64)
+    # Serial semantics: an active trial overdraws for *all* its light
+    # nodes each round (satisfied nodes included), so the per-trial
+    # draw sizes — and hence the rng streams — match.  Every trial is
+    # active in round 1.
+    act = slice(None)
+    od = want + want // 16 + 4
+    keys = None
     while True:
-        need_per_trial = np.bincount(
-            trial_of, weights=need, minlength=nt
-        ).astype(np.int64)
-        act_node = need_per_trial[trial_of] > 0
-        if not act_node.any():
+        sizes = np.bincount(tr[act], weights=od, minlength=nt).astype(np.int64)
+        slots = np.concatenate([
+            g.integers(0, length, size)
+            for g, length, size in zip(gens, L_list, sizes.tolist()) if size
+        ])
+        new_keys = _sorted_distinct(np.repeat(bases[act], od) + slots)
+        keys = new_keys if keys is None else _sorted_distinct(
+            np.concatenate([keys, new_keys]), kind="stable"
+        )
+        pos = keys.searchsorted(edges)
+        have = pos[1:] - pos[:-1]
+        short = have < want
+        if not short.any():
             break
-        # Serial semantics: an active trial overdraws for *all* its
-        # light nodes each round (satisfied nodes included), so the
-        # per-trial draw sizes — and hence the rng streams — match.
-        od = (need + need // 16 + 4)[act_node]
-        nd_per_trial = np.bincount(
-            trial_of[act_node], weights=od, minlength=nt
-        ).astype(np.int64)
-        slot_parts = [
-            rngs[lock[i]].integers(0, L[i], int(nd_per_trial[i]))
-            for i in np.flatnonzero(nd_per_trial)
-        ]
-        new_keys = np.repeat(bases[act_node], od) + np.concatenate(slot_parts)
-        keys = _sorted_distinct(np.concatenate([keys, new_keys]))
-        have = np.diff(np.searchsorted(keys, edges))
-        need = np.maximum(0, want - have)
+        need = np.where(short, want - have, 0)
+        trial_short = np.zeros(nt, dtype=bool)
+        trial_short[tr[short]] = True
+        act = trial_short[tr]
+        need = need[act]
+        od = need + need // 16 + 4
 
-    # Trim surpluses per trial, only in trials that would trim serially
-    # (untrimmed trials keep sorted-key order; trimmed ones keep the
-    # serial lexsort order, both of which downstream content resolution
-    # depends on for bit-identity).
-    trial_trim = np.zeros(nt, dtype=bool)
-    over = have > want
-    if over.any():
-        trial_trim[trial_of[over]] = True
-    any_trim = bool(trial_trim.any())
-    t_edges = np.append(K, K[-1] + dom[-1])
-    kept = np.empty(0, dtype=np.int64)
-    kept_bounds = np.zeros(nt + 1, dtype=np.int64)
-    if any_trim:
-        # Keys are sorted on a trial-major axis, so each trial is a
-        # contiguous slice between its two edges — splitting into the
-        # trimmed/untrimmed halves is slicing, never a per-key search.
-        tb = np.searchsorted(keys, t_edges)
-        sizes = np.diff(tb)
-        trim_ids = np.flatnonzero(trial_trim)
-        keys_sub = np.concatenate(
-            [keys[tb[i]:tb[i + 1]] for i in trim_ids]
-        )
-        owner_sub = np.repeat(trim_ids, sizes[trim_ids])
-        rel_sub = keys_sub - K[owner_sub]
-        grp_sub = owner_sub * n + rel_sub // (
-            uniform_l if uniform_l else L[owner_sub]
-        )
-        rand = np.concatenate(
-            [rngs[lock[i]].random(int(sizes[i])) for i in trim_ids]
-        )
-        if nt * n <= 1023:
-            # Composite sort key: (trial, node) group in the high bits,
-            # the serial random tie-break's full 53-bit mantissa in the
-            # low bits (``Generator.random`` emits multiples of 2**-53,
-            # so the scaling is exact).  One stable argsort reproduces
-            # ``lexsort((rand, group))`` bit-for-bit at about half the
-            # cost; wider group ranges would overflow and take the
-            # lexsort path instead.
-            r_bits = (rand * 9007199254740992.0).astype(np.int64)
-            order = np.argsort((grp_sub << 53) + r_bits, kind="stable")
+    # Trim surpluses only in trials that would trim serially: untrimmed
+    # trials keep sorted-key order, trimmed ones the serial lexsort
+    # order, both of which downstream content resolution depends on for
+    # bit-identity.  The loop exits only once every segment holds at
+    # least ``want`` keys, so after trimming each holds exactly ``want``.
+    trim = np.zeros(nt, dtype=bool)
+    trim[tr[have > want]] = True
+    if trim.any():
+        # Usually every trial trims and the selections are whole arrays.
+        every = bool(trim.all())
+        seg_trim = slice(None) if every else trim[tr]
+        key_trim = slice(None) if every else np.repeat(seg_trim, have)
+        sub = keys[key_trim]
+        sizes = np.bincount(tr, weights=have, minlength=nt).astype(np.int64)
+        rand = np.concatenate([
+            g.random(size)
+            for g, size, t in zip(gens, sizes.tolist(), trim.tolist()) if t
+        ])
+        h = have[seg_trim]
+        w = want[seg_trim]
+        seg = np.repeat(np.arange(len(h), dtype=np.int64), h)
+        if len(h) <= 1023:
+            # Composite sort key: segment in the high bits, the serial
+            # random tie-break's full 53-bit mantissa in the low bits
+            # (``Generator.random`` emits multiples of 2**-53, so the
+            # scaling is exact).  Absent equal composite keys the sorted
+            # permutation is unique, so the default unstable sort gives
+            # ``lexsort((rand, seg))`` bit-for-bit; any tie falls back
+            # to the stable sort, which breaks it by key position as
+            # lexsort does.  More segments would overflow the high bits.
+            comp = (seg << 53) + (rand * 9007199254740992.0).astype(np.int64)
+            order = np.argsort(comp)
+            ranked = comp[order]
+            if (ranked[1:] == ranked[:-1]).any():
+                order = np.argsort(comp, kind="stable")
         else:
-            order = np.lexsort((rand, grp_sub))
-        node_mask = trial_trim[trial_of]
-        have_m = have[node_mask]
-        want_m = want[node_mask]
-        bounds_m = np.zeros(len(have_m) + 1, dtype=np.int64)
-        np.cumsum(have_m, out=bounds_m[1:])
-        # Keep the first ``want`` rand-ranked keys of each node segment:
+            order = np.lexsort((rand, seg))
+        # Keep the first ``want`` rand-ranked keys of each segment:
         # positions below the segment's start-plus-want threshold.
-        thresh = np.repeat(bounds_m[:-1] + want_m, have_m)
-        keep_sorted = np.arange(len(keys_sub)) < thresh
-        kept = keys_sub[order[keep_sorted]]
-        # ``kept`` is node-major (hence trial-major) and the rejection
-        # loop only exits once every node holds at least ``want`` keys,
-        # so each trimmed node keeps exactly ``want`` — per-trial kept
-        # counts follow without touching the keys.
-        per_trial = np.bincount(
-            trial_of[node_mask], weights=want_m, minlength=nt
-        ).astype(np.int64)
-        np.cumsum(per_trial, out=kept_bounds[1:])
-        untrimmed = np.concatenate(
-            [keys[tb[i]:tb[i + 1]]
-             for i in np.flatnonzero(~trial_trim)]
-        ) if not trial_trim.all() else np.empty(0, dtype=np.int64)
-    else:
-        untrimmed = keys
-    # Both sources are trial-major, so each trial's result is a
-    # contiguous segment; sorted ``untrimmed`` segments come from one
-    # boundary search of the trial edges.  Decoding keys back to
-    # (node, slot) runs once over each whole source array, and the
-    # per-trial results are zero-copy views of the decoded arrays.
-    un_bounds = np.searchsorted(untrimmed, t_edges)
-
-    def _decode(src: np.ndarray, bounds: np.ndarray):
-        owner = np.repeat(np.arange(nt), np.diff(bounds))
-        rel = src - K[owner]
-        if uniform_l:
-            nodes = rel // uniform_l
-            return nodes, rel - nodes * uniform_l
-        l_of = L[owner]
-        nodes = rel // l_of
-        return nodes, rel - nodes * l_of
-
-    un_nodes, un_slots = _decode(untrimmed, un_bounds)
-    if any_trim:
-        kp_nodes, kp_slots = _decode(kept, kept_bounds)
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    for i in range(nt):
-        if trial_trim[i]:
-            lo, hi = kept_bounds[i], kept_bounds[i + 1]
-            out.append((kp_nodes[lo:hi], kp_slots[lo:hi]))
+        starts = np.cumsum(h) - h
+        kept = sub[order[np.arange(len(sub)) < np.repeat(starts + w, h)]]
+        if every:
+            keys = kept
         else:
-            lo, hi = un_bounds[i], un_bounds[i + 1]
-            out.append((un_nodes[lo:hi], un_slots[lo:hi]))
-    return out
+            out = np.empty(int(want.sum()), dtype=np.int64)
+            kept_mask = np.repeat(seg_trim, want)
+            out[kept_mask] = kept
+            out[~kept_mask] = keys[~key_trim]
+            keys = out
+    # Decode once over the whole node-major key array: segment j's keys
+    # are node nd[j]'s slots offset by bases[j].  Per-trial results are
+    # zero-copy views.
+    nodes = np.repeat(nd, want)
+    slots = keys - np.repeat(bases, want)
+    bounds = np.zeros(nt + 1, dtype=np.int64)
+    np.cumsum(C.sum(axis=1), out=bounds[1:])
+    return [
+        (nodes[lo:hi], slots[lo:hi])
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
 
 def _distinct_positions_multi(
@@ -622,6 +588,13 @@ def sample_action_events_batch(
             raise SimulationError(
                 "send_probs, send_kinds, listen_probs length mismatch"
             )
+        if lengths.shape != (B,) or send_probs.shape[0] != B:
+            raise SimulationError(
+                "rngs, lengths and probability rows must have one entry "
+                "per trial"
+            )
+        if (lengths < 0).any():
+            raise SimulationError("phase lengths must be non-negative")
         if ((send_probs < 0) | (send_probs > 1)).any() or (
             (listen_probs < 0) | (listen_probs > 1)
         ).any():

@@ -37,7 +37,6 @@ from repro.channel.events import JamPlan, PhaseOutcome
 from repro.channel.model import resolve_phase, resolve_phase_batch
 from repro.engine.executor import ExecutorStats
 from repro.engine.sampling import (
-    _LOCKSTEP_MAX_WANT,
     sample_action_events,
     sample_action_events_batch,
 )
@@ -271,14 +270,14 @@ class TestStackedKernels:
             assert got.data_slots == want.data_slots
 
     def test_sampling_batch_matches_serial_across_dispatch(self):
-        # Trials straddling every dispatch regime of
-        # _distinct_positions_multi: tiny lockstep trials, a heavy-node
-        # trial (count > length // 2), and an array-bound trial whose
-        # total want exceeds _LOCKSTEP_MAX_WANT (serial fallback).
+        # Trials straddling every regime of _distinct_positions_multi:
+        # tiny lockstep trials, a heavy-node trial (count > length // 2,
+        # sampled as a complement), and an array-bound trial with
+        # thousands of positions, which stays on the lockstep key axis.
         specs = [
             (8, 0.3, 0.5),
             (5, 0.95, 0.9),  # heavy: counts hug the phase length
-            (4 * _LOCKSTEP_MAX_WANT, 0.6, 0.6),  # large: serial fallback
+            (2048, 0.6, 0.6),  # large: thousands of positions per node
             (1, 1.0, 1.0),
         ]
         n_nodes = 3
