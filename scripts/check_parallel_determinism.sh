@@ -21,9 +21,10 @@
 #    reports to be byte-identical — the end-to-end gate for the
 #    trial-batched kernel.
 # 6c. Same gate on E8 (n up to 64 broadcast, includes the n=16 point):
-#    the batched *protocol* layer (next_phase_batch/observe_batch lock-
-#    step driver) must leave multi-node broadcast reports byte-identical
-#    too, and the bench's --profile smoke run must succeed.
+#    the batched *protocol* layer (next_phase_batch/observe_batch in
+#    Simulator's shared lockstep run_batch loop) must leave multi-node
+#    broadcast reports byte-identical too, and the bench's --profile
+#    smoke run must succeed.
 # 7. Runs the `arena`-marked pytest suite (genome search, corpus
 #    replay, tournaments).
 # 8. Runs a fixed-seed arena search through the real CLI serially and
@@ -32,8 +33,8 @@
 #    the default `duel` chart to be byte-identical across repeats.
 # 8b. Multichannel gate: runs E18 serially, with -j 2, and with
 #    --batch 8 (all three reports byte-identical — the batched one is
-#    the end-to-end gate for the lockstep MCSimulator.run_batch
-#    kernel), then a fixed-seed arena search against the cz-c4
+#    the end-to-end gate for the shared lockstep run_batch loop on the
+#    multichannel medium), then a fixed-seed arena search against the cz-c4
 #    multichannel preset serially and with -j 2 (byte-identical
 #    leaderboards), and replays the discovered attack from the corpus
 #    demanding exact agreement.
@@ -42,6 +43,8 @@
 # 10. Runs E1 with and without --telemetry and requires the two saved
 #    reports to be byte-identical (telemetry is write-only
 #    observability), plus `telemetry summarize` to render the run.
+#    Same for E15, whose runs are all on MCSimulator: its summary must
+#    list a sim.run span, which only the shared phase loop emits.
 # 11. Runs the `service`-marked pytest suite (job dedupe, HTTP
 #    server/client end-to-end).
 # 12. Service smoke gate: starts `repro-bcast serve` in the
@@ -203,6 +206,26 @@ if ! grep -q "executor.task" "$tmp/tele-summary.out"; then
     exit 1
 fi
 echo "OK: E1 report byte-identical with --telemetry; summarize renders spans"
+
+echo "== CLI byte-identity: run E15 (multichannel) with vs without --telemetry =="
+python -m repro.cli run E15 --seed 11 --save "$tmp/e15-tele-off" > /dev/null
+python -m repro.cli run E15 --seed 11 --telemetry "$tmp/e15-tele" \
+    --save "$tmp/e15-tele-on" > /dev/null
+if ! cmp "$tmp/e15-tele-off/E15.json" "$tmp/e15-tele-on/E15.json"; then
+    echo "FAIL: telemetry-on E15 report differs from telemetry-off report" >&2
+    exit 1
+fi
+if ! python -m repro.cli telemetry summarize --dir "$tmp/e15-tele" \
+        > "$tmp/e15-tele-summary.out"; then
+    echo "FAIL: telemetry summarize failed on the recorded E15 run" >&2
+    exit 1
+fi
+if ! grep -qw "sim\.run" "$tmp/e15-tele-summary.out"; then
+    echo "FAIL: E15 telemetry summary lists no sim.run span from MCSimulator" >&2
+    cat "$tmp/e15-tele-summary.out" >&2
+    exit 1
+fi
+echo "OK: E15 report byte-identical with --telemetry; MC engine emits sim.run spans"
 
 echo "== service suite (pytest -m service) =="
 python -m pytest -q -m service "$@"

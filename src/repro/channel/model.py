@@ -33,7 +33,6 @@ Semantics implemented (Section 1.2 of the paper):
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,6 @@ __all__ = [
     "get_resolver",
     "resolve_resolver_name",
     "RESOLVER_ENV",
-    "DENSE_RESOLVER_ENV",
 ]
 
 #: Environment override for the default resolver: set to ``sparse`` or
@@ -73,10 +71,6 @@ __all__ = [
 #: to replay a whole experiment — executor workers included, since they
 #: inherit the environment — through the O(L) oracle.
 RESOLVER_ENV = "REPRO_RESOLVER"
-
-#: Deprecated boolean spelling of ``REPRO_RESOLVER=dense``; honoured
-#: with a :class:`DeprecationWarning` for one release.
-DENSE_RESOLVER_ENV = "REPRO_DENSE_RESOLVER"
 
 
 def _tx_events(sends: SendEvents, plan: JamPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -629,25 +623,12 @@ def resolve_phase_batch_core(
     )
 
 
-def resolve_resolver_name(
-    resolver: str | None = None, *, dense: bool | None = None
-) -> str:
-    """Normalise every resolver spelling to ``"sparse"`` or ``"dense"``.
+def resolve_resolver_name(resolver: str | None = None) -> str:
+    """Normalise the resolver spelling to ``"sparse"`` or ``"dense"``.
 
-    Precedence: the deprecated ``dense=`` boolean (warned) when given,
-    then an explicit ``resolver=`` string, then the
-    :data:`RESOLVER_ENV` environment variable, then the deprecated
-    :data:`DENSE_RESOLVER_ENV` boolean variable (warned), then
-    ``"sparse"``.
+    Precedence: an explicit ``resolver=`` string, then the
+    :data:`RESOLVER_ENV` environment variable, then ``"sparse"``.
     """
-    if dense is not None:
-        warnings.warn(
-            "the dense= resolver toggle is deprecated; use "
-            "resolver='dense' / resolver='sparse' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return "dense" if dense else "sparse"
     if resolver is not None:
         if resolver not in ("sparse", "dense"):
             raise ConfigurationError(
@@ -661,29 +642,17 @@ def resolve_resolver_name(
                 f"{RESOLVER_ENV} must be 'sparse' or 'dense', got {env!r}"
             )
         return env
-    legacy = os.environ.get(DENSE_RESOLVER_ENV, "").strip().lower()
-    if legacy:
-        warnings.warn(
-            f"{DENSE_RESOLVER_ENV} is deprecated; set {RESOLVER_ENV}="
-            "dense or sparse instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if legacy in {"1", "true", "yes", "on"}:
-            return "dense"
     return "sparse"
 
 
-def get_resolver(resolver: str | None = None, *, dense: bool | None = None):
+def get_resolver(resolver: str | None = None):
     """Select the phase resolver.
 
     ``resolver="sparse"`` (the default) returns the O(events) kernel,
-    ``resolver="dense"`` the O(L) oracle.  With neither argument the
+    ``resolver="dense"`` the O(L) oracle.  With no argument the
     :data:`RESOLVER_ENV` environment variable decides, so a whole
     process tree — executor workers inherit the environment — can be
-    pinned to the oracle without code changes.  The ``dense=`` boolean
-    and the :data:`DENSE_RESOLVER_ENV` variable are deprecated
-    spellings, honoured with a :class:`DeprecationWarning`.
+    pinned to the oracle without code changes.
     """
-    name = resolve_resolver_name(resolver, dense=dense)
+    name = resolve_resolver_name(resolver)
     return resolve_phase_dense if name == "dense" else resolve_phase

@@ -12,8 +12,8 @@ independent oracle:
   :func:`resolve_phase_dense` and the sparse resolver produce
   bit-identical :class:`~repro.channel.events.PhaseOutcome`\\ s on
   randomised phases;
-* the engine can be pinned to it via ``Simulator(dense=True)`` or the
-  ``REPRO_DENSE_RESOLVER=1`` environment variable, which the CI gate
+* the engine can be pinned to it via ``Simulator(resolver="dense")`` or
+  the ``REPRO_RESOLVER=dense`` environment variable, which the CI gate
   (``scripts/check_parallel_determinism.sh``) uses to prove a full
   experiment report is byte-identical under either resolver.
 """

@@ -561,9 +561,9 @@ def sample_action_events_batch(
 
     The multichannel engine reuses this sampler unchanged: events are
     drawn on *real* slots from each trial's ``protocol`` stream, and
-    only afterwards does
-    :func:`repro.multichannel.engine._hop_batch` filter half-duplex
-    conflicts and hop the survivors onto virtual slots from the
+    only afterwards does the medium's hop
+    (:meth:`repro.multichannel.engine.HoppingChannels.hop`) filter
+    half-duplex conflicts and hop the survivors onto virtual slots from the
     separate per-trial ``hopping`` streams — so the draws made here are
     identical whether the phase later resolves on one channel or many.
 

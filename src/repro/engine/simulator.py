@@ -1,15 +1,18 @@
-"""The run loop: protocol × adversary → costs, latency, outcome.
+"""The phase loops: protocol × adversary × medium → costs, latency, outcome.
 
-One :func:`run` call plays a complete execution of a protocol against an
-adversary on the slotted channel, with full energy accounting.  The loop
-is phase-granular; all slot-level work happens vectorised inside
-:func:`repro.channel.model.resolve_phase`.
+:meth:`Simulator.run` plays one complete execution of a protocol against
+an adversary with full energy accounting; :meth:`Simulator.run_batch`
+plays B of them in lockstep, bit-identical per trial.  They are the
+engine's only two phase loops: the multichannel engine
+(:class:`repro.multichannel.engine.MCSimulator`) drives the same two
+and differs only in its *medium* (:class:`SingleChannel` here).  The
+loops are phase-granular; all slot-level work happens vectorised inside
+:mod:`repro.channel.model`.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -21,58 +24,30 @@ from repro.channel.events import N_STATUS
 from repro.channel.model import (
     BatchPhaseOutcome,
     resolve_phase,
-    resolve_phase_batch,
     resolve_phase_batch_core,
     resolve_phase_dense,
     resolve_resolver_name,
 )
 from repro.engine.phase import BatchPhaseObservation, PhaseObservation
 from repro.engine.sampling import sample_action_events, sample_action_events_batch
-from repro.errors import BudgetExceededError, ConfigurationError, ProtocolError
+from repro.errors import (
+    BudgetExceededError,
+    ConfigurationError,
+    ProtocolError,
+    SimulationError,
+)
 from repro.protocols.base import Protocol
 from repro.rng import RngFactory
 from repro.telemetry.sink import get_sink
 
 __all__ = [
     "Simulator",
+    "SingleChannel",
     "RunResult",
     "BatchResult",
     "run",
     "run_batch",
-    "resolve_protocol_driver_name",
-    "PROTOCOL_DRIVER_ENV",
 ]
-
-#: Environment override for how ``run_batch`` steps protocols: set to
-#: ``batch`` (stacked lockstep API, the default) or ``serial`` (one
-#: ``next_phase``/``observe`` call per trial — the differential oracle).
-#: The CI byte-identity gate replays experiments under ``serial`` the
-#: same way ``REPRO_RESOLVER=dense`` replays them through the O(L)
-#: resolver.
-PROTOCOL_DRIVER_ENV = "REPRO_PROTOCOL_DRIVER"
-
-
-def resolve_protocol_driver_name(driver: str | None = None) -> str:
-    """Normalise the protocol-driver spelling to ``"batch"`` or ``"serial"``.
-
-    Precedence: an explicit ``driver=`` string, then the
-    :data:`PROTOCOL_DRIVER_ENV` environment variable, then ``"batch"``.
-    """
-    if driver is not None:
-        if driver not in ("batch", "serial"):
-            raise ConfigurationError(
-                f"protocol_driver must be 'batch' or 'serial', got {driver!r}"
-            )
-        return driver
-    env = os.environ.get(PROTOCOL_DRIVER_ENV, "").strip().lower()
-    if env:
-        if env not in ("batch", "serial"):
-            raise ConfigurationError(
-                f"{PROTOCOL_DRIVER_ENV} must be 'batch' or 'serial', "
-                f"got {env!r}"
-            )
-        return env
-    return "batch"
 
 
 @dataclass(frozen=True)
@@ -185,6 +160,50 @@ class BatchResult:
         return np.array([r.truncated for r in self.results], dtype=bool)
 
 
+class SingleChannel:
+    """The paper's medium: one shared channel, resolved on real slots.
+
+    A *medium* is the stage the phase loops call between event sampling
+    and collision resolution.  It owns everything that differs between
+    one channel and ``C``:
+
+    * ``stream`` — the name of an extra per-trial rng stream, or
+      ``None``.  A medium that names one also provides
+      ``hop(sends, listens, length, rng)``, which places one trial's
+      real-slot events on the resolver's slot axis; the loops charge it
+      to the ``sampling`` profile stage.  One channel needs neither.
+    * The adversary side: ``adversary_base`` (the strategy interface;
+      the heterogeneous-batch fallback and the ``observe_outcome``
+      override check key off it), :meth:`begin_run` and
+      :meth:`context`.
+    * The resolver side: the resolver and ledger see
+      ``n_channels * L`` slots per phase, and the protocol's jam groups
+      reach the resolver only when ``jam_groups`` is set.
+
+    Caps and the ``slots`` latency counter count real slots on every
+    medium.  :class:`repro.multichannel.engine.HoppingChannels` is the
+    ``C``-channel medium.
+    """
+
+    n_channels = 1
+    stream: str | None = None
+    adversary_base = Adversary
+    jam_groups = True
+
+    def begin_run(self, adversary, n_nodes: int, n_groups: int, rng) -> None:
+        adversary.begin_run(n_nodes, n_groups, rng)
+
+    def context(
+        self, phase_index, length, n_nodes, n_groups, tags,
+        sends, listens, send_probs, listen_probs, spent,
+    ) -> AdversaryContext:
+        """The adversary's view of one phase."""
+        return AdversaryContext(
+            phase_index, length, n_nodes, n_groups, tags,
+            sends, listens, send_probs, listen_probs, spent,
+        )
+
+
 class Simulator:
     """Reusable runner binding a protocol, an adversary, and limits.
 
@@ -207,24 +226,15 @@ class Simulator:
         ``None`` defers to the ``REPRO_RESOLVER`` environment variable.
         Both produce bit-identical outcomes; the oracle exists for
         differential testing and byte-identity CI gates.
-    dense:
-        Deprecated boolean spelling of ``resolver=`` (one-release
-        :class:`DeprecationWarning`).
-    protocol_driver:
-        How :meth:`run_batch` steps protocols: ``"batch"`` (default)
-        drives the stacked lockstep API
-        (:meth:`~repro.protocols.base.Protocol.next_phase_batch` /
-        :meth:`~repro.protocols.base.Protocol.observe_batch`),
-        ``"serial"`` loops the per-trial API — the batch layer's
-        differential oracle.  ``None`` defers to the
-        ``REPRO_PROTOCOL_DRIVER`` environment variable.  Both produce
-        per-trial results bit-identical to :meth:`run`.
     profile:
         Optional dict accumulating per-stage wall seconds
         (``protocol`` / ``sampling`` / ``adversary`` / ``resolve`` /
         ``accounting`` keys) across runs; ``None`` (default) disables
         the stage clocks entirely.
     """
+
+    #: The medium the phase loops resolve on.
+    medium = SingleChannel()
 
     def __init__(
         self,
@@ -237,8 +247,6 @@ class Simulator:
         keep_history: bool = False,
         trace=None,
         resolver: str | None = None,
-        dense: bool | None = None,
-        protocol_driver: str | None = None,
         profile: dict | None = None,
     ) -> None:
         self.protocol = protocol
@@ -248,11 +256,10 @@ class Simulator:
         self.strict = strict
         self.keep_history = keep_history
         self.trace = trace
-        self.resolver = resolve_resolver_name(resolver, dense=dense)
+        self.resolver = resolve_resolver_name(resolver)
         self.resolve_phase = (
             resolve_phase_dense if self.resolver == "dense" else resolve_phase
         )
-        self.protocol_driver = resolve_protocol_driver_name(protocol_driver)
         self.profile = profile
 
     def _clock(self, stage: str, since: float) -> float:
@@ -264,15 +271,63 @@ class Simulator:
 
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one execution and return its :class:`RunResult`."""
+        return self._run(seed)
+
+    def run_batch(
+        self,
+        seeds,
+        *,
+        make_protocol=None,
+        make_adversary=None,
+    ) -> BatchResult:
+        """Play B independent trials as one stacked computation.
+
+        Trial ``t`` is bit-identical to :meth:`run` ``(seeds[t])`` on
+        fresh instances: every trial keeps its own adversary instance,
+        rng streams and ledger row, and sees exactly the rng call
+        sequence of a scalar run — only the deterministic per-phase
+        kernels (event sampling, collision resolution, plan emission)
+        and the protocol state are stacked across trials, which is
+        where the per-trial Python overhead lived.  Trials advance in
+        lockstep; a trial whose protocol halts (or trips the safety
+        caps) simply drops out of subsequent steps.
+
+        Parameters
+        ----------
+        seeds:
+            One rng seed per trial.
+        make_protocol / make_adversary:
+            Optional zero-argument factories building the batch's
+            protocol and each trial's adversary.  By default the batch
+            drives the simulator's own protocol and a ``copy.deepcopy``
+            of its adversary per trial — equivalent for every
+            protocol/adversary in the repo, whose ``reset_batch`` /
+            ``begin_run`` hooks (re-)initialise all run state, so
+            back-to-back calls on one simulator are bit-identical too.
+
+        Returns
+        -------
+        BatchResult
+            Per-trial :class:`RunResult` views plus stacked arrays.
+        """
+        return self._run_batch(seeds, make_protocol, make_adversary)
+
+    def _run(self, seed) -> RunResult:
+        """The scalar phase loop behind every engine's ``run``."""
         factory = RngFactory(seed)
         protocol_rng = factory.get("protocol")
         adversary_rng = factory.get("adversary")
+        medium = self.medium
+        hop_rng = factory.get(medium.stream) if medium.stream else None
+        C = medium.n_channels
+        jam_groups = medium.jam_groups
 
         protocol = self.protocol
         adversary = self.adversary
+        n_nodes = protocol.n_nodes
         protocol.reset(protocol_rng)
 
-        ledger = EnergyLedger(protocol.n_nodes, keep_history=self.keep_history)
+        ledger = EnergyLedger(n_nodes, keep_history=self.keep_history)
         slots = 0
         phases = 0
         truncated = False
@@ -290,17 +345,15 @@ class Simulator:
         spec = protocol.next_phase()
         if prof is not None:
             t_stage = self._clock("protocol", t_stage)
-        if spec is not None:
-            n_groups_seen = (
-                int(spec.groups.max()) + 1 if spec.groups is not None else 1
-            )
-        adversary.begin_run(protocol.n_nodes, n_groups_seen, adversary_rng)
+        if spec is not None and spec.groups is not None:
+            n_groups_seen = int(spec.groups.max()) + 1
+        medium.begin_run(adversary, n_nodes, n_groups_seen, adversary_rng)
 
         while spec is not None:
-            if spec.n_nodes != protocol.n_nodes:
+            if spec.n_nodes != n_nodes:
                 raise ProtocolError(
                     f"phase for {spec.n_nodes} nodes from a protocol with "
-                    f"{protocol.n_nodes}"
+                    f"{n_nodes}"
                 )
             if slots + spec.length > self.max_slots or phases >= self.max_phases:
                 if self.strict:
@@ -319,32 +372,24 @@ class Simulator:
                 spec.send_kinds,
                 spec.listen_probs,
             )
+            if hop_rng is not None:
+                sends, listens = medium.hop(sends, listens, spec.length, hop_rng)
             if prof is not None:
                 t_stage = self._clock("sampling", t_stage)
-            ctx = AdversaryContext(
-                phase_index=phases,
-                length=spec.length,
-                n_nodes=protocol.n_nodes,
-                n_groups=n_groups_seen,
-                tags=dict(spec.tags),
-                sends=sends,
-                listens=listens,
-                send_probs=spec.send_probs,
-                listen_probs=spec.listen_probs,
-                spent=ledger.adversary_cost,
+            ctx = medium.context(
+                phases, spec.length, n_nodes, n_groups_seen, dict(spec.tags),
+                sends, listens, spec.send_probs, spec.listen_probs,
+                ledger.adversary_cost,
             )
             plan = adversary.plan_phase(ctx)
             if prof is not None:
                 t_stage = self._clock("adversary", t_stage)
             if sink is not None:
                 t0 = time.perf_counter()
+            extent = C * spec.length
+            groups = spec.groups if jam_groups else None
             outcome = self.resolve_phase(
-                spec.length,
-                protocol.n_nodes,
-                sends,
-                listens,
-                plan,
-                groups=spec.groups,
+                extent, n_nodes, sends, listens, plan, groups=groups
             )
             if sink is not None:
                 resolve_time += time.perf_counter() - t0
@@ -352,7 +397,7 @@ class Simulator:
             if prof is not None:
                 t_stage = self._clock("resolve", t_stage)
             ledger.charge_phase(
-                spec.length,
+                extent,
                 outcome.send_cost + outcome.listen_cost,
                 outcome.adversary_cost,
                 tags=spec.tags,
@@ -361,8 +406,8 @@ class Simulator:
             )
             if self.trace is not None:
                 self.trace.record(
-                    phases, spec.length, protocol.n_nodes, spec.tags,
-                    sends, listens, plan, spec.groups, outcome,
+                    phases, extent, n_nodes, spec.tags,
+                    sends, listens, plan, groups, outcome,
                 )
             slots += spec.length
             phases += 1
@@ -405,245 +450,8 @@ class Simulator:
             node_listen_costs=ledger.listen_costs,
         )
 
-    def run_batch(
-        self,
-        seeds,
-        *,
-        make_protocol=None,
-        make_adversary=None,
-    ) -> BatchResult:
-        """Play B independent trials as one stacked computation.
-
-        Bit-identical per trial to ``[self.run(s) for s in seeds]``:
-        every trial keeps its own protocol/adversary instances, rng
-        streams, and :class:`~repro.channel.accounting.EnergyLedger`,
-        and sees exactly the rng call sequence of a serial run — only
-        the deterministic per-phase kernels (event sampling, collision
-        resolution, plan emission) are stacked across trials, which is
-        where the per-trial Python overhead lived.  Trials advance in
-        lockstep; a trial whose protocol halts (or trips the safety
-        caps) simply drops out of subsequent steps.
-
-        Parameters
-        ----------
-        seeds:
-            One rng seed per trial.
-        make_protocol / make_adversary:
-            Optional zero-argument factories building each trial's
-            instances.  By default each trial gets a ``copy.deepcopy``
-            of the simulator's prototype instances — equivalent for
-            every protocol/adversary in the repo, whose ``reset`` /
-            ``begin_run`` hooks (re-)initialise all run state.
-
-        Returns
-        -------
-        BatchResult
-            Per-trial :class:`RunResult` views plus stacked arrays.
-        """
-        if self.trace is not None:
-            raise ConfigurationError(
-                "trace recording is per-run; use run() for traced executions"
-            )
-        seeds = list(seeds)
-        if len(seeds) == 0:
-            return BatchResult(results=(), seeds=())
-        if self.protocol_driver == "serial":
-            return self._run_batch_serial(seeds, make_protocol, make_adversary)
-        return self._run_batch_lockstep(seeds, make_protocol, make_adversary)
-
-    def _run_batch_serial(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Per-trial protocol stepping — the batch layer's oracle.
-
-        Sampling and resolution are still stacked across trials; only
-        the protocol state advance loops in Python, exactly the PR-6
-        engine this driver preserves for differential testing.
-        """
-        B = len(seeds)
-        protocols = [
-            make_protocol() if make_protocol is not None
-            else copy.deepcopy(self.protocol)
-            for _ in range(B)
-        ]
-        adversaries = [
-            make_adversary() if make_adversary is not None
-            else copy.deepcopy(self.adversary)
-            for _ in range(B)
-        ]
-        n_nodes = protocols[0].n_nodes
-        for p in protocols[1:]:
-            if p.n_nodes != n_nodes:
-                raise ConfigurationError(
-                    "run_batch requires a uniform node count across trials"
-                )
-        adv_type = type(adversaries[0])
-        if any(type(a) is not adv_type for a in adversaries):
-            adv_type = Adversary  # heterogeneous batch: per-trial loop
-
-        factories = [RngFactory(seed) for seed in seeds]
-        protocol_rngs = [f.get("protocol") for f in factories]
-        adversary_rngs = [f.get("adversary") for f in factories]
-
-        ledgers = [
-            EnergyLedger(n_nodes, keep_history=self.keep_history)
-            for _ in range(B)
-        ]
-        slots = [0] * B
-        phases = [0] * B
-        truncated = [False] * B
-        n_groups_seen = [1] * B
-        specs: list = [None] * B
-        sink = get_sink()
-        resolve_time = 0.0
-        n_events = 0
-
-        for t in range(B):
-            protocols[t].reset(protocol_rngs[t])
-            spec = protocols[t].next_phase()
-            specs[t] = spec
-            if spec is not None:
-                n_groups_seen[t] = (
-                    int(spec.groups.max()) + 1 if spec.groups is not None else 1
-                )
-            adversaries[t].begin_run(n_nodes, n_groups_seen[t], adversary_rngs[t])
-
-        active = [t for t in range(B) if specs[t] is not None]
-        while active:
-            step = []
-            for t in active:
-                spec = specs[t]
-                if spec.n_nodes != n_nodes:
-                    raise ProtocolError(
-                        f"phase for {spec.n_nodes} nodes from a protocol "
-                        f"with {n_nodes}"
-                    )
-                if (
-                    slots[t] + spec.length > self.max_slots
-                    or phases[t] >= self.max_phases
-                ):
-                    if self.strict:
-                        raise BudgetExceededError(
-                            f"run exceeded caps (slots={slots[t]}, "
-                            f"phases={phases[t]})"
-                        )
-                    truncated[t] = True
-                    continue
-                step.append(t)
-            if not step:
-                break
-
-            lengths = np.array([specs[t].length for t in step], dtype=np.int64)
-            events = sample_action_events_batch(
-                [protocol_rngs[t] for t in step],
-                lengths,
-                [specs[t].send_probs for t in step],
-                [specs[t].send_kinds for t in step],
-                [specs[t].listen_probs for t in step],
-            )
-            ctxs = [
-                AdversaryContext(
-                    phase_index=phases[t],
-                    length=specs[t].length,
-                    n_nodes=n_nodes,
-                    n_groups=n_groups_seen[t],
-                    tags=dict(specs[t].tags),
-                    sends=events[i][0],
-                    listens=events[i][1],
-                    send_probs=specs[t].send_probs,
-                    listen_probs=specs[t].listen_probs,
-                    spent=ledgers[t].adversary_cost,
-                )
-                for i, t in enumerate(step)
-            ]
-            plans = adv_type.plan_phase_batch(
-                [adversaries[t] for t in step], ctxs
-            )
-            if sink is not None:
-                t0 = time.perf_counter()
-            if self.resolver == "dense":
-                outcomes = [
-                    resolve_phase_dense(
-                        int(lengths[i]), n_nodes, events[i][0], events[i][1],
-                        plans[i], groups=specs[t].groups,
-                    )
-                    for i, t in enumerate(step)
-                ]
-            else:
-                outcomes = resolve_phase_batch(
-                    lengths,
-                    n_nodes,
-                    [ev[0] for ev in events],
-                    [ev[1] for ev in events],
-                    plans,
-                    [specs[t].groups for t in step],
-                )
-            if sink is not None:
-                resolve_time += time.perf_counter() - t0
-                n_events += sum(len(ev[0]) + len(ev[1]) for ev in events)
-
-            for i, t in enumerate(step):
-                spec, outcome = specs[t], outcomes[i]
-                ledgers[t].charge_phase(
-                    spec.length,
-                    outcome.send_cost + outcome.listen_cost,
-                    outcome.adversary_cost,
-                    tags=spec.tags,
-                    send_costs=outcome.send_cost,
-                    listen_costs=outcome.listen_cost,
-                )
-                slots[t] += spec.length
-                phases[t] += 1
-                protocols[t].observe(
-                    PhaseObservation(
-                        length=spec.length,
-                        heard=outcome.heard,
-                        send_cost=outcome.send_cost,
-                        listen_cost=outcome.listen_cost,
-                        tags=dict(spec.tags),
-                    )
-                )
-                adversaries[t].observe_outcome(ctxs[i], outcome)
-                specs[t] = protocols[t].next_phase()
-            active = [t for t in step if specs[t] is not None]
-
-        results = []
-        for t in range(B):
-            if specs[t] is None and not protocols[t].done:
-                raise ProtocolError(
-                    "protocol returned no phase but reports not done"
-                )
-            ledgers[t].check_conservation()
-            results.append(
-                RunResult(
-                    node_costs=ledgers[t].node_costs,
-                    adversary_cost=ledgers[t].adversary_cost,
-                    slots=slots[t],
-                    phases=phases[t],
-                    truncated=truncated[t],
-                    stats=protocols[t].summary(),
-                    phase_history=ledgers[t].history,
-                    node_send_costs=ledgers[t].send_costs,
-                    node_listen_costs=ledgers[t].listen_costs,
-                )
-            )
-        if sink is not None:
-            total_phases = sum(phases)
-            total_slots = sum(slots)
-            sink.span_event(
-                "sim.run_batch", resolve_time,
-                trials=B, phases=total_phases, slots=total_slots,
-                events=n_events,
-                events_per_slot=(
-                    round(n_events / total_slots, 6) if total_slots else 0.0
-                ),
-            )
-        return BatchResult(results=tuple(results), seeds=tuple(seeds))
-
-    def _run_batch_lockstep(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Stacked lockstep driver: one batch protocol, no per-trial loop.
+    def _run_batch(self, seeds, make_protocol, make_adversary) -> BatchResult:
+        """The lockstep phase loop behind every engine's ``run_batch``.
 
         The protocol holds every trial's state as arrays with a leading
         trial axis and advances all of them per step
@@ -652,15 +460,24 @@ class Simulator:
         costs accumulate in one :class:`BatchEnergyLedger`; observations
         scatter straight from the stacked resolver output.  Rng streams
         stay per-trial, so every trial's results are bit-identical to
-        :meth:`run` — :meth:`_run_batch_serial` is the differential
-        oracle asserting exactly that.
+        :meth:`run` on fresh instances — the differential suites assert
+        exactly that.
 
         Trials that halt early (or trip the caps) are masked out of the
         runnable set, never compacted: their rows ride along frozen,
         which keeps every surviving trial's rng consumption on the
-        serial schedule.
+        scalar schedule.
         """
+        if self.trace is not None:
+            raise ConfigurationError(
+                "trace recording is per-run; use run() for traced executions"
+            )
+        seeds = list(seeds)
+        if not seeds:
+            return BatchResult(results=(), seeds=())
         B = len(seeds)
+        medium = self.medium
+        C = medium.n_channels
         protocol = (
             make_protocol() if make_protocol is not None else self.protocol
         )
@@ -670,19 +487,24 @@ class Simulator:
             for _ in range(B)
         ]
         n_nodes = protocol.n_nodes
+        base = medium.adversary_base
         adv_type = type(adversaries[0])
         if any(type(a) is not adv_type for a in adversaries):
-            adv_type = Adversary  # heterogeneous batch: per-trial loop
+            adv_type = base  # heterogeneous batch: per-trial loop
         # Outcome feedback is an opt-in hook; when nobody overrides it,
         # skip materialising per-trial PhaseOutcome views entirely.
         observe_hooked = any(
-            type(a).observe_outcome is not Adversary.observe_outcome
+            type(a).observe_outcome is not base.observe_outcome
             for a in adversaries
         )
 
         factories = [RngFactory(seed) for seed in seeds]
         protocol_rngs = [f.get("protocol") for f in factories]
         adversary_rngs = [f.get("adversary") for f in factories]
+        hop_rngs = (
+            [f.get(medium.stream) for f in factories] if medium.stream
+            else None
+        )
 
         ledger = BatchEnergyLedger(B, n_nodes, keep_history=self.keep_history)
         slots = np.zeros(B, dtype=np.int64)
@@ -709,8 +531,9 @@ class Simulator:
         )
         n_groups_seen = np.where(first_active, shared_groups, 1)
         for t in range(B):
-            adversaries[t].begin_run(
-                n_nodes, int(n_groups_seen[t]), adversary_rngs[t]
+            medium.begin_run(
+                adversaries[t], n_nodes, int(n_groups_seen[t]),
+                adversary_rngs[t],
             )
 
         while spec is not None:
@@ -740,57 +563,66 @@ class Simulator:
             if prof is not None:
                 t_stage = time.perf_counter()
             full = len(idx) == B
+            lengths = spec.lengths if full else spec.lengths[idx]
             events = sample_action_events_batch(
                 protocol_rngs if full else [protocol_rngs[t] for t in idx],
-                spec.lengths if full else spec.lengths[idx],
+                lengths,
                 spec.send_probs if full else spec.send_probs[idx],
                 spec.send_kinds if full else spec.send_kinds[idx],
                 spec.listen_probs if full else spec.listen_probs[idx],
                 validate=False,
             )
+            if hop_rngs is not None:
+                events = [
+                    medium.hop(sends, listens, int(spec.lengths[t]), hop_rngs[t])
+                    for (sends, listens), t in zip(events, idx)
+                ]
             if prof is not None:
                 t_stage = self._clock("sampling", t_stage)
 
             adv_spent = ledger.adversary_costs
             ctxs = [
-                AdversaryContext(
-                    phase_index=int(phases[t]),
-                    length=int(spec.lengths[t]),
-                    n_nodes=n_nodes,
-                    n_groups=int(n_groups_seen[t]),
-                    tags=dict(spec.tags[t]),
-                    sends=events[i][0],
-                    listens=events[i][1],
-                    send_probs=spec.send_probs[t],
-                    listen_probs=spec.listen_probs[t],
-                    spent=int(adv_spent[t]),
+                medium.context(
+                    int(phases[t]), int(spec.lengths[t]), n_nodes,
+                    int(n_groups_seen[t]), dict(spec.tags[t]),
+                    events[i][0], events[i][1],
+                    spec.send_probs[t], spec.listen_probs[t],
+                    int(adv_spent[t]),
                 )
                 for i, t in enumerate(idx)
             ]
             plans = adv_type.plan_phase_batch(
                 [adversaries[t] for t in idx], ctxs
             )
+            extents = C * lengths
+            for plan, extent in zip(plans, extents.tolist()):
+                if plan.length != extent:
+                    raise SimulationError(
+                        f"JamPlan length {plan.length} does not match "
+                        f"phase length {extent}"
+                    )
             if prof is not None:
                 t_stage = self._clock("adversary", t_stage)
             if sink is not None:
                 t0 = time.perf_counter()
+            groups = spec.groups if medium.jam_groups else None
             if self.resolver == "dense":
                 core = BatchPhaseOutcome.from_outcomes([
                     resolve_phase_dense(
-                        int(spec.lengths[t]), n_nodes,
+                        int(extents[i]), n_nodes,
                         events[i][0], events[i][1], plans[i],
-                        groups=spec.groups,
+                        groups=groups,
                     )
-                    for i, t in enumerate(idx)
+                    for i in range(len(idx))
                 ])
             else:
                 core = resolve_phase_batch_core(
-                    spec.lengths if full else spec.lengths[idx],
+                    extents,
                     n_nodes,
                     [ev[0] for ev in events],
                     [ev[1] for ev in events],
                     plans,
-                    [spec.groups] * len(idx),
+                    [groups] * len(idx),
                     validate=False,
                 )
             if sink is not None:
@@ -817,7 +649,7 @@ class Simulator:
                 advc_full[idx] = core.adversary_costs
 
             ledger.charge_phase_batch(
-                runnable, spec.lengths, send_full, listen_full, advc_full,
+                runnable, C * spec.lengths, send_full, listen_full, advc_full,
                 spec.tags,
             )
             slots[runnable] += spec.lengths[runnable]

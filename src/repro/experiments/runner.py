@@ -19,6 +19,7 @@ execute uncached.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
@@ -311,44 +312,9 @@ def replicate(
     are packed into :meth:`~repro.engine.simulator.Simulator.run_batch`
     tasks of that size — bit-identical results, per-trial cache entries.
     """
-    if n_reps < 1:
-        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
-    batch = _resolve_batch(config)
-
-    store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(config, store, "replicate", make_protocol, sim_kwargs)
-    keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
-
-    if batch > 1:
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            def task() -> list[RunResult]:
-                sim = Simulator(make_protocol(), make_adversary(), **sim_kwargs)
-                return list(
-                    sim.run_batch(
-                        [derive(seed, r) for r in group],
-                        make_protocol=make_protocol,
-                        make_adversary=make_adversary,
-                    )
-                )
-
-            return task
-
-        return _dispatch_batched(
-            [(0, n_reps)], make_batch_task, keys, config, store, batch
-        )
-
-    def make_task(r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            sim = Simulator(make_protocol(), make_adversary(), **sim_kwargs)
-            return sim.run(derive(seed, r))
-
-        return task
-
-    return _dispatch(
-        [make_task(r) for r in range(n_reps)], keys, config, store
+    return _replicate(
+        Simulator, "replicate", {}, make_protocol, make_adversary,
+        n_reps, seed, config, sim_kwargs,
     )
 
 
@@ -381,6 +347,30 @@ def mc_replicate(
     """
     from repro.multichannel.engine import MCSimulator
 
+    return _replicate(
+        functools.partial(MCSimulator, n_channels=n_channels),
+        "mc_replicate", {"n_channels": n_channels},
+        make_protocol, make_adversary, n_reps, seed, config, sim_kwargs,
+    )
+
+
+def _replicate(
+    engine,
+    kind: str,
+    key_options: dict,
+    make_protocol,
+    make_adversary,
+    n_reps: int,
+    seed: int,
+    config,
+    sim_kwargs: dict,
+) -> list[RunResult]:
+    """The body of :func:`replicate` and :func:`mc_replicate`.
+
+    ``engine(protocol, adversary, **sim_kwargs)`` builds one task's
+    simulator; the cache fingerprint covers ``kind`` and the engine
+    options, ``sim_kwargs`` plus ``key_options``.
+    """
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     if config is not None and config.history:
@@ -389,23 +379,19 @@ def mc_replicate(
 
     store = config.resolve_cache_store() if config is not None else None
     base = _fingerprint_base(
-        config,
-        store,
-        "mc_replicate",
-        make_protocol,
-        dict(sim_kwargs, n_channels=n_channels),
+        config, store, kind, make_protocol, dict(sim_kwargs, **key_options)
     )
     keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
+
+    def make_sim():
+        return engine(make_protocol(), make_adversary(), **sim_kwargs)
 
     if batch > 1:
 
         def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
             def task() -> list[RunResult]:
-                sim = MCSimulator(
-                    make_protocol(), make_adversary(), n_channels, **sim_kwargs
-                )
                 return list(
-                    sim.run_batch(
+                    make_sim().run_batch(
                         [derive(seed, r) for r in group],
                         make_protocol=make_protocol,
                         make_adversary=make_adversary,
@@ -420,10 +406,7 @@ def mc_replicate(
 
     def make_task(r: int) -> Callable[[], RunResult]:
         def task() -> RunResult:
-            sim = MCSimulator(
-                make_protocol(), make_adversary(), n_channels, **sim_kwargs
-            )
-            return sim.run(derive(seed, r))
+            return make_sim().run(derive(seed, r))
 
         return task
 

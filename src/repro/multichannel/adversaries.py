@@ -33,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.events import JamPlan, ListenEvents, SendEvents, SlotSet
+from repro.channel.events import (
+    JamPlan,
+    ListenEvents,
+    PhaseOutcome,
+    SendEvents,
+    SlotSet,
+)
 from repro.errors import ConfigurationError
 from repro.multichannel.schedules import ChannelJamPlan
 
@@ -64,7 +70,12 @@ class MCContext:
 
 
 class MCAdversary(ABC):
-    """Base class for multichannel strategies."""
+    """Base class for multichannel strategies.
+
+    Subclasses implement :meth:`plan_phase`; :meth:`begin_run` and
+    :meth:`observe_outcome` are optional hooks for stateful strategies,
+    as on :class:`~repro.adversaries.base.Adversary`.
+    """
 
     def begin_run(
         self, n_nodes: int, n_channels: int, rng: np.random.Generator
@@ -94,6 +105,10 @@ class MCAdversary(ABC):
         differential suites enforce exactly that.
         """
         return [a.plan_phase(c) for a, c in zip(advs, ctxs)]
+
+    def observe_outcome(self, ctx: MCContext, outcome: PhaseOutcome) -> None:
+        """Optional hook: see the resolved phase on the virtual slots
+        (the adversary is omniscient about the past)."""
 
 
 def _band_suffix_plan(

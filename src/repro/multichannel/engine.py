@@ -1,4 +1,4 @@
-"""Multichannel run loop via the virtual-slot reduction.
+"""Multichannel engine via the virtual-slot reduction.
 
 A phase of ``L`` slots over ``C`` channels is resolved as a
 single-channel phase of ``C * L`` virtual slots, where real slot ``t``
@@ -15,38 +15,22 @@ Because a node takes at most one action per *real* slot and each action
 occupies exactly one virtual slot, per-slot energy accounting, the
 half-duplex rule, and the own-transmission exclusion all carry over
 from the single-channel resolver untouched — the reduction is exact,
-not an approximation.
+not an approximation.  :class:`HoppingChannels` is the reduction as a
+medium of the shared phase loops in :mod:`repro.engine.simulator`, and
+:class:`MCSimulator` is the engine that resolves on it.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.channel.accounting import BatchEnergyLedger, EnergyLedger
-from repro.channel.events import N_STATUS, JamPlan, ListenEvents, SendEvents
-from repro.channel.model import (
-    BatchPhaseOutcome,
-    get_resolver,
-    resolve_phase_batch_core,
-    resolve_phase_dense,
-    resolve_resolver_name,
-)
-from repro.engine.phase import BatchPhaseObservation, PhaseObservation
-from repro.engine.sampling import sample_action_events, sample_action_events_batch
-from repro.engine.simulator import (
-    BatchResult,
-    RunResult,
-    resolve_protocol_driver_name,
-)
-from repro.errors import BudgetExceededError, ConfigurationError, ProtocolError
+from repro.channel.events import ListenEvents, SendEvents
+from repro.engine.simulator import BatchResult, RunResult, Simulator
+from repro.errors import ConfigurationError
 from repro.multichannel.adversaries import MCAdversary, MCContext
 from repro.protocols.base import Protocol
-from repro.rng import RngFactory
 
-__all__ = ["MCSimulator", "mc_run"]
+__all__ = ["HoppingChannels", "MCSimulator", "mc_run"]
 
 
 def _hop(events_slots: np.ndarray, length: int, n_channels: int,
@@ -73,8 +57,7 @@ def _half_duplex(sends: SendEvents, listens: ListenEvents,
 
     Half-duplex must be enforced before the hop: a node cannot send on
     one channel while listening on another.  (The virtual-slot resolver
-    would only catch same-channel conflicts.)  Shared by :meth:`run` and
-    the lockstep batch driver so both paths filter identically.
+    would only catch same-channel conflicts.)
     """
     if not len(sends) or not len(listens):
         return listens
@@ -86,40 +69,67 @@ def _half_duplex(sends: SendEvents, listens: ListenEvents,
     return ListenEvents(listens.nodes[keep], listens.slots[keep])
 
 
-def _hop_batch(events, lengths, n_channels: int, rngs):
-    """Filter and hop a batch of trials' events onto virtual slots.
+class HoppingChannels:
+    """``C`` channels with uniform hopping: the medium of :class:`MCSimulator`.
 
-    ``events[i]`` is trial ``i``'s ``(sends, listens)`` pair on real
-    slots, ``lengths[i]`` its phase length and ``rngs[i]`` its private
-    ``hopping`` stream.  Per trial the call sequence is exactly serial
-    :meth:`MCSimulator.run`'s: the half-duplex filter runs on real
-    slots first (it changes how many listen events remain, hence how
-    many channel draws the hop makes), then sends hop, then listens —
-    both from that trial's stream, in that order.  Cross-trial order is
-    free (streams are independent), but the per-trial draw order is the
-    bit-identity contract the C>1 rng regression pin enforces; merging
-    the two hops into one draw, or hopping listens before the filter,
-    would silently permute every stream.
+    See :class:`~repro.engine.simulator.SingleChannel` for what a
+    medium owns.  Here every trial draws its hops from a private
+    ``"hopping"`` rng stream, the adversary is an
+    :class:`~repro.multichannel.adversaries.MCAdversary` that plans
+    (channel, slot) cells over the ``C * L`` virtual slots, and jam
+    groups never reach the resolver: they are a single-channel notion
+    (jamming "near" a node), while here the adversary buys cells that
+    disrupt every listener hopping onto them.
     """
-    v_sends: list[SendEvents] = []
-    v_listens: list[ListenEvents] = []
-    for (sends, listens), length, rng in zip(events, lengths, rngs):
-        length = int(length)
+
+    stream = "hopping"
+    adversary_base = MCAdversary
+    jam_groups = False
+
+    def __init__(self, n_channels: int) -> None:
+        self.n_channels = n_channels
+
+    def begin_run(self, adversary, n_nodes: int, n_groups: int, rng) -> None:
+        adversary.begin_run(n_nodes, self.n_channels, rng)
+
+    def hop(self, sends: SendEvents, listens: ListenEvents, length: int,
+            rng: np.random.Generator) -> tuple[SendEvents, ListenEvents]:
+        """Place one trial's real-slot events on virtual slots.
+
+        The half-duplex filter runs on real slots first (it changes how
+        many listen events remain, hence how many channel draws the hop
+        makes), then sends hop, then listens — both from the trial's
+        ``hopping`` stream.  Both phase loops call this per trial, and
+        that per-trial draw order is the bit-identity contract the C>1
+        rng regression pin enforces: merging the two hops into one
+        draw, or hopping listens before the filter, would silently
+        permute every stream.
+        """
         listens = _half_duplex(sends, listens, length)
-        v_sends.append(SendEvents(
-            sends.nodes,
-            _hop(sends.slots, length, n_channels, rng),
-            sends.kinds,
-        ))
-        v_listens.append(ListenEvents(
-            listens.nodes,
-            _hop(listens.slots, length, n_channels, rng),
-        ))
-    return v_sends, v_listens
+        C = self.n_channels
+        return (
+            SendEvents(sends.nodes, _hop(sends.slots, length, C, rng), sends.kinds),
+            ListenEvents(listens.nodes, _hop(listens.slots, length, C, rng)),
+        )
+
+    def context(
+        self, phase_index, length, n_nodes, n_groups, tags,
+        sends, listens, send_probs, listen_probs, spent,
+    ) -> MCContext:
+        """The adversary's view of one phase, on virtual slots."""
+        return MCContext(
+            phase_index, length, self.n_channels, n_nodes, tags,
+            sends, listens, spent,
+        )
 
 
-class MCSimulator:
+class MCSimulator(Simulator):
     """Run any protocol on a ``C``-channel medium.
+
+    The :class:`~repro.engine.simulator.Simulator` engine — its two
+    phase loops, caps, ``strict``, telemetry spans, ``profile=`` stages,
+    ``trace=`` recording and ``observe_outcome`` feedback — resolving on
+    :class:`HoppingChannels`.
 
     Parameters
     ----------
@@ -129,32 +139,12 @@ class MCSimulator:
         An :class:`~repro.multichannel.adversaries.MCAdversary`.
     n_channels:
         Number of frequency channels ``C >= 1``.
-    max_slots:
-        Safety cap on *real* slots — the sum of phase lengths, i.e.
-        wall-clock latency.  Latency does not grow with band width, so
-        the cap is deliberately ``C``-invariant even though the ledger's
-        per-phase records charge the ``C * length`` virtual extent (an
-        accounting convention, not elapsed time).  ``run`` and
-        ``run_batch`` apply the cap identically: a phase that would
-        push a trial past either cap is not started; with
-        ``strict=True`` a :class:`~repro.errors.BudgetExceededError`
-        is raised instead of truncating.
-    max_phases:
-        Safety cap on the number of phases, same semantics.
-    resolver:
-        Resolver selection, as in
-        :class:`~repro.engine.simulator.Simulator`: ``"sparse"``
-        (default), ``"dense"`` for the O(L) oracle, ``None`` defers to
-        the ``REPRO_RESOLVER`` environment variable.
-    dense:
-        Deprecated boolean spelling of ``resolver=`` (one-release
-        :class:`DeprecationWarning`).
-    protocol_driver:
-        How :meth:`run_batch` steps protocols, as in
-        :class:`~repro.engine.simulator.Simulator`: ``"batch"``
-        (stacked lockstep kernel, the default) or ``"serial"`` (one
-        fresh engine per trial — the differential oracle); ``None``
-        defers to the ``REPRO_PROTOCOL_DRIVER`` environment variable.
+    **kwargs:
+        Any :class:`~repro.engine.simulator.Simulator` keyword.
+        ``max_slots`` caps *real* slots — the sum of phase lengths, i.e.
+        wall-clock latency — so it is ``C``-invariant even though the
+        ledger's per-phase records charge the ``C * length`` virtual
+        extent (an accounting convention, not elapsed time).
     """
 
     def __init__(
@@ -162,14 +152,7 @@ class MCSimulator:
         protocol: Protocol,
         adversary: MCAdversary,
         n_channels: int,
-        *,
-        max_slots: int = 50_000_000,
-        max_phases: int = 200_000,
-        strict: bool = False,
-        keep_history: bool = False,
-        resolver: str | None = None,
-        dense: bool | None = None,
-        protocol_driver: str | None = None,
+        **kwargs,
     ) -> None:
         if n_channels < 1:
             raise ConfigurationError(f"n_channels must be >= 1, got {n_channels}")
@@ -179,363 +162,24 @@ class MCSimulator:
                 f"protocol is tuned for {declared} channels but the engine "
                 f"was given n_channels={n_channels}"
             )
-        self.protocol = protocol
-        self.adversary = adversary
+        super().__init__(protocol, adversary, **kwargs)
         self.n_channels = n_channels
-        self.max_slots = max_slots
-        self.max_phases = max_phases
-        self.strict = strict
-        self.keep_history = keep_history
-        self.resolver = resolve_resolver_name(resolver, dense=dense)
-        self.resolve_phase = get_resolver(self.resolver)
-        self.protocol_driver = resolve_protocol_driver_name(protocol_driver)
-        # Pristine snapshots for run_batch's no-factory fallback: the
-        # live protocol/adversary may have been mutated by an earlier
-        # run()/run_batch(), and deep-copying dirty state would seed
-        # every trial from wherever the last run halted.
-        self._pristine_protocol = copy.deepcopy(protocol)
-        self._pristine_adversary = copy.deepcopy(adversary)
+        self.medium = HoppingChannels(n_channels)
 
+    # run and run_batch are spelled out in this class body rather than
+    # inherited, so the benchmark's tracer (bench/tracer.py) books the
+    # multichannel engine as its own layer.
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
-        factory = RngFactory(seed)
-        protocol_rng = factory.get("protocol")
-        hop_rng = factory.get("hopping")
-        adversary_rng = factory.get("adversary")
-
-        protocol = self.protocol
-        protocol.reset(protocol_rng)
-        self.adversary.begin_run(protocol.n_nodes, self.n_channels, adversary_rng)
-
-        ledger = EnergyLedger(protocol.n_nodes, keep_history=self.keep_history)
-        slots = 0
-        phases = 0
-        truncated = False
-        C = self.n_channels
-
-        while (spec := protocol.next_phase()) is not None:
-            if slots + spec.length > self.max_slots or phases >= self.max_phases:
-                if self.strict:
-                    raise BudgetExceededError(
-                        f"run exceeded caps (slots={slots}, phases={phases})"
-                    )
-                truncated = True
-                break
-            # Jam groups are a single-channel concept (jamming "near a
-            # node"); in the multichannel model the adversary buys
-            # (channel, slot) cells that disrupt every listener hopping
-            # onto them, so any group annotations are ignored.
-
-            sends, listens = sample_action_events(
-                protocol_rng, spec.length, spec.send_probs, spec.send_kinds,
-                spec.listen_probs,
-            )
-            listens = _half_duplex(sends, listens, spec.length)
-            v_sends = SendEvents(
-                sends.nodes,
-                _hop(sends.slots, spec.length, C, hop_rng),
-                sends.kinds,
-            )
-            v_listens = ListenEvents(
-                listens.nodes, _hop(listens.slots, spec.length, C, hop_rng)
-            )
-
-            ctx = MCContext(
-                phase_index=phases,
-                length=spec.length,
-                n_channels=C,
-                n_nodes=protocol.n_nodes,
-                tags=dict(spec.tags),
-                sends=v_sends,
-                listens=v_listens,
-                spent=ledger.adversary_cost,
-            )
-            plan = self.adversary.plan_phase(ctx)
-            if plan.length != C * spec.length:
-                raise ProtocolError(
-                    f"MC plan must cover {C}x{spec.length} virtual slots, "
-                    f"got {plan.length}"
-                )
-            outcome = self.resolve_phase(
-                C * spec.length, protocol.n_nodes, v_sends, v_listens, plan
-            )
-            ledger.charge_phase(
-                C * spec.length,
-                outcome.send_cost + outcome.listen_cost,
-                outcome.adversary_cost,
-                tags=spec.tags,
-                send_costs=outcome.send_cost,
-                listen_costs=outcome.listen_cost,
-            )
-            slots += spec.length
-            phases += 1
-            protocol.observe(
-                PhaseObservation(
-                    length=spec.length,
-                    heard=outcome.heard,
-                    send_cost=outcome.send_cost,
-                    listen_cost=outcome.listen_cost,
-                    tags=dict(spec.tags),
-                )
-            )
-
-        if not truncated and not protocol.done:
-            raise ProtocolError("protocol returned no phase but reports not done")
-        ledger.check_conservation()
-        return RunResult(
-            node_costs=ledger.node_costs,
-            adversary_cost=ledger.adversary_cost,
-            slots=slots,
-            phases=phases,
-            truncated=truncated,
-            stats=protocol.summary(),
-            phase_history=ledger.history,
-            node_send_costs=ledger.send_costs,
-            node_listen_costs=ledger.listen_costs,
-        )
+        """Play one multichannel execution (see :meth:`Simulator.run`)."""
+        return self._run(seed)
 
     def run_batch(
-        self,
-        seeds,
-        *,
-        make_protocol=None,
-        make_adversary=None,
+        self, seeds, *, make_protocol=None, make_adversary=None
     ) -> BatchResult:
-        """Play B independent multichannel trials in lockstep.
-
-        Same surface and contract as
-        :meth:`repro.engine.simulator.Simulator.run_batch`, so callers
-        can treat single- and multi-channel engines uniformly: trial
-        ``t`` is bit-identical to ``run(seeds[t])`` on fresh instances.
-        Without factories, trials are seeded from deep copies of the
-        protocol/adversary *as constructed* — never from state a
-        previous ``run``/``run_batch`` on this engine left behind — so
-        back-to-back calls on one engine are bit-identical too.
-
-        The driver is selected by ``protocol_driver``: ``"batch"``
-        (default) advances all trials together through the stacked
-        kernel; ``"serial"`` plays them one at a time on fresh engines
-        and is kept as the differential oracle.
+        """Play B multichannel trials in lockstep, each bit-identical to
+        :meth:`run` on fresh instances (see :meth:`Simulator.run_batch`).
         """
-        seeds = list(seeds)
-        if not seeds:
-            return BatchResult(results=(), seeds=())
-        if self.protocol_driver == "serial":
-            return self._run_batch_serial(seeds, make_protocol, make_adversary)
-        return self._run_batch_lockstep(seeds, make_protocol, make_adversary)
-
-    def _run_batch_serial(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Per-trial loop on fresh engines — the lockstep differential
-        oracle."""
-        results = []
-        for seed in seeds:
-            sim = MCSimulator(
-                make_protocol() if make_protocol is not None
-                else copy.deepcopy(self._pristine_protocol),
-                make_adversary() if make_adversary is not None
-                else copy.deepcopy(self._pristine_adversary),
-                self.n_channels,
-                max_slots=self.max_slots,
-                max_phases=self.max_phases,
-                strict=self.strict,
-                keep_history=self.keep_history,
-                resolver=self.resolver,
-                protocol_driver=self.protocol_driver,
-            )
-            results.append(sim.run(seed))
-        return BatchResult(results=tuple(results), seeds=tuple(seeds))
-
-    def _run_batch_lockstep(
-        self, seeds: list, make_protocol, make_adversary
-    ) -> BatchResult:
-        """Stacked lockstep driver for the virtual-slot reduction.
-
-        The structure mirrors
-        :meth:`repro.engine.simulator.Simulator._run_batch_lockstep`
-        (stacked protocol state, one :class:`BatchEnergyLedger`, masked
-        — never compacted — halted trials) with the two multichannel
-        deltas: every trial owns a third rng stream (``hopping``) whose
-        draws :func:`_hop_batch` consumes in serial order, and plans
-        come from :meth:`MCAdversary.plan_phase_batch` over the
-        ``C * length`` virtual slots.  The ledger charges the virtual
-        extent per phase while the slot counters advance by *real*
-        slots, exactly as :meth:`run` does (see the ``max_slots``
-        docs).
-        """
-        B = len(seeds)
-        C = self.n_channels
-        protocol = (
-            make_protocol() if make_protocol is not None
-            else copy.deepcopy(self._pristine_protocol)
-        )
-        adversaries = [
-            make_adversary() if make_adversary is not None
-            else copy.deepcopy(self._pristine_adversary)
-            for _ in range(B)
-        ]
-        n_nodes = protocol.n_nodes
-        adv_type = type(adversaries[0])
-        if any(type(a) is not adv_type for a in adversaries):
-            adv_type = MCAdversary  # heterogeneous batch: per-trial loop
-
-        factories = [RngFactory(seed) for seed in seeds]
-        protocol_rngs = [f.get("protocol") for f in factories]
-        hop_rngs = [f.get("hopping") for f in factories]
-        adversary_rngs = [f.get("adversary") for f in factories]
-
-        ledger = BatchEnergyLedger(B, n_nodes, keep_history=self.keep_history)
-        slots = np.zeros(B, dtype=np.int64)
-        phases = np.zeros(B, dtype=np.int64)
-        truncated = np.zeros(B, dtype=bool)
-
-        protocol.reset_batch(protocol_rngs)
-        for t in range(B):
-            adversaries[t].begin_run(n_nodes, C, adversary_rngs[t])
-        spec = protocol.next_phase_batch(np.ones(B, dtype=bool))
-
-        while spec is not None:
-            if spec.n_nodes != n_nodes:
-                raise ProtocolError(
-                    f"phase for {spec.n_nodes} nodes from a protocol "
-                    f"with {n_nodes}"
-                )
-            runnable = spec.active & ~truncated
-            over = runnable & (
-                (slots + spec.lengths > self.max_slots)
-                | (phases >= self.max_phases)
-            )
-            if over.any():
-                if self.strict:
-                    t = int(np.flatnonzero(over)[0])
-                    raise BudgetExceededError(
-                        f"run exceeded caps (slots={int(slots[t])}, "
-                        f"phases={int(phases[t])})"
-                    )
-                truncated |= over
-                runnable &= ~over
-            if not runnable.any():
-                break
-            idx = np.flatnonzero(runnable)
-
-            full = len(idx) == B
-            events = sample_action_events_batch(
-                protocol_rngs if full else [protocol_rngs[t] for t in idx],
-                spec.lengths if full else spec.lengths[idx],
-                spec.send_probs if full else spec.send_probs[idx],
-                spec.send_kinds if full else spec.send_kinds[idx],
-                spec.listen_probs if full else spec.listen_probs[idx],
-                validate=False,
-            )
-            v_sends, v_listens = _hop_batch(
-                events,
-                spec.lengths if full else spec.lengths[idx],
-                C,
-                hop_rngs if full else [hop_rngs[t] for t in idx],
-            )
-
-            adv_spent = ledger.adversary_costs
-            ctxs = [
-                MCContext(
-                    phase_index=int(phases[t]),
-                    length=int(spec.lengths[t]),
-                    n_channels=C,
-                    n_nodes=n_nodes,
-                    tags=dict(spec.tags[t]),
-                    sends=v_sends[i],
-                    listens=v_listens[i],
-                    spent=int(adv_spent[t]),
-                )
-                for i, t in enumerate(idx)
-            ]
-            plans = adv_type.plan_phase_batch(
-                [adversaries[t] for t in idx], ctxs
-            )
-            for i, t in enumerate(idx):
-                if plans[i].length != C * int(spec.lengths[t]):
-                    raise ProtocolError(
-                        f"MC plan must cover {C}x{int(spec.lengths[t])} "
-                        f"virtual slots, got {plans[i].length}"
-                    )
-            # Jam groups are a single-channel concept; as in run(), any
-            # group annotations are ignored on the virtual slots.
-            if self.resolver == "dense":
-                core = BatchPhaseOutcome.from_outcomes([
-                    resolve_phase_dense(
-                        C * int(spec.lengths[t]), n_nodes,
-                        v_sends[i], v_listens[i], plans[i],
-                    )
-                    for i, t in enumerate(idx)
-                ])
-            else:
-                core = resolve_phase_batch_core(
-                    C * (spec.lengths if full else spec.lengths[idx]),
-                    n_nodes,
-                    v_sends,
-                    v_listens,
-                    plans,
-                    [None] * len(idx),
-                    validate=False,
-                )
-
-            if full:
-                heard_full = core.heard
-                send_full = core.send_cost
-                listen_full = core.listen_cost
-                advc_full = core.adversary_costs
-            else:
-                heard_full = np.zeros((B, n_nodes, N_STATUS), dtype=np.int64)
-                send_full = np.zeros((B, n_nodes), dtype=np.int64)
-                listen_full = np.zeros((B, n_nodes), dtype=np.int64)
-                advc_full = np.zeros(B, dtype=np.int64)
-                heard_full[idx] = core.heard
-                send_full[idx] = core.send_cost
-                listen_full[idx] = core.listen_cost
-                advc_full[idx] = core.adversary_costs
-
-            # Virtual extent in the ledger, real slots on the latency
-            # counter — the same split as the serial loop.
-            ledger.charge_phase_batch(
-                runnable, C * spec.lengths, send_full, listen_full,
-                advc_full, spec.tags,
-            )
-            slots[runnable] += spec.lengths[runnable]
-            phases[runnable] += 1
-
-            protocol.observe_batch(
-                BatchPhaseObservation(
-                    lengths=spec.lengths,
-                    heard=heard_full,
-                    send_cost=send_full,
-                    listen_cost=listen_full,
-                    active=runnable,
-                    tags=spec.tags,
-                )
-            )
-            spec = protocol.next_phase_batch(runnable)
-
-        bad = ~protocol.done_batch() & ~truncated
-        if bad.any():
-            raise ProtocolError(
-                "protocol returned no phase but reports not done"
-            )
-        ledger.check_conservation()
-        stats = protocol.summary_batch()
-        results = [
-            RunResult(
-                node_costs=ledger.node_costs_for(t),
-                adversary_cost=ledger.adversary_cost(t),
-                slots=int(slots[t]),
-                phases=int(phases[t]),
-                truncated=bool(truncated[t]),
-                stats=stats[t],
-                phase_history=ledger.history_for(t),
-                node_send_costs=ledger.send_costs_for(t),
-                node_listen_costs=ledger.listen_costs_for(t),
-            )
-            for t in range(B)
-        ]
-        return BatchResult(results=tuple(results), seeds=tuple(seeds))
+        return self._run_batch(seeds, make_protocol, make_adversary)
 
 
 def mc_run(

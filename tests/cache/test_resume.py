@@ -12,9 +12,11 @@ import json
 import pytest
 
 from repro.adversaries.blocking import EpochTargetJammer, QBlockingJammer
+from repro.cache.store import CacheStore
 from repro.cli import main as cli_main
 from repro.experiments.registry import RunConfig
-from repro.experiments.runner import replicate, sweep_epoch_targets
+from repro.experiments.runner import mc_replicate, replicate, sweep_epoch_targets
+from repro.multichannel import CZBroadcast, CZParams, FractionJammer
 from repro.protocols.one_to_one import OneToOneBroadcast, OneToOneParams
 from repro.store import run_result_to_dict
 
@@ -113,6 +115,32 @@ class TestReplicateCache:
         warm = run_replicate(warm_cfg)
         assert warm_cfg.stats.cache_hits == 4
         assert snapshots(warm) == snapshots(cold)
+
+
+class TestTaskKeysPinned:
+    """A cache written by an earlier build must keep hitting: these are
+    the recorded ``task_key`` digests of one ``replicate`` and one
+    ``mc_replicate`` task.  A change that moves them invalidates every
+    stored entry and should bump the engine version instead."""
+
+    def test_replicate_key(self, tmp_path):
+        run_replicate(cache_config(tmp_path, experiment="TKEY"), n_reps=1)
+        assert CacheStore(tmp_path / "cache").get(
+            "c34ddb9b9b9a4c0c1dc37d33e280fd1236fce96608f6dbcce96575a41fb85054"
+        ) is not None
+
+    def test_mc_replicate_key(self, tmp_path):
+        mc_replicate(
+            lambda: CZBroadcast(CZParams.sim(n_nodes=8, n_channels=2)),
+            lambda: FractionJammer(0.2, max_total=500),
+            1,
+            seed=3,
+            n_channels=2,
+            config=cache_config(tmp_path, experiment="TKEY"),
+        )
+        assert CacheStore(tmp_path / "cache").get(
+            "7fb02703dbafa59692e3af2cce1aa9463e64044fb22f01cbd494c4c231c541bd"
+        ) is not None
 
 
 def run_sweep(config, targets):

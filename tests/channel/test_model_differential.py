@@ -207,7 +207,6 @@ class TestHalfDuplexPinned:
 class TestGetResolver:
     def test_explicit_name(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESOLVER", raising=False)
-        monkeypatch.delenv("REPRO_DENSE_RESOLVER", raising=False)
         assert get_resolver("dense") is resolve_phase_dense
         assert get_resolver("sparse") is resolve_phase
         assert get_resolver() is resolve_phase
@@ -221,7 +220,6 @@ class TestGetResolver:
             get_resolver("turbo")
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DENSE_RESOLVER", raising=False)
         monkeypatch.setenv("REPRO_RESOLVER", "dense")
         assert get_resolver() is resolve_phase_dense
         monkeypatch.setenv("REPRO_RESOLVER", "sparse")
@@ -229,26 +227,6 @@ class TestGetResolver:
         # An explicit argument beats the environment.
         monkeypatch.setenv("REPRO_RESOLVER", "dense")
         assert get_resolver("sparse") is resolve_phase
-
-    def test_legacy_dense_kwarg_warns(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESOLVER", raising=False)
-        with pytest.warns(DeprecationWarning):
-            assert get_resolver(dense=True) is resolve_phase_dense
-        with pytest.warns(DeprecationWarning):
-            assert get_resolver(dense=False) is resolve_phase
-
-    def test_legacy_env_warns_and_loses_to_new_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESOLVER", raising=False)
-        monkeypatch.setenv("REPRO_DENSE_RESOLVER", "1")
-        with pytest.warns(DeprecationWarning):
-            assert get_resolver() is resolve_phase_dense
-        monkeypatch.setenv("REPRO_DENSE_RESOLVER", "off")
-        with pytest.warns(DeprecationWarning):
-            assert get_resolver() is resolve_phase
-        # REPRO_RESOLVER wins over the legacy variable (and silences it).
-        monkeypatch.setenv("REPRO_DENSE_RESOLVER", "1")
-        monkeypatch.setenv("REPRO_RESOLVER", "sparse")
-        assert get_resolver() is resolve_phase
 
 
 def test_simulator_resolver_bit_identical():
@@ -269,7 +247,3 @@ def test_simulator_resolver_bit_identical():
     assert sparse.slots == dense.slots
     assert sparse.phases == dense.phases
     assert sparse.stats == dense.stats
-    # The deprecated boolean spelling still maps onto the same runs.
-    with pytest.warns(DeprecationWarning):
-        legacy = run(mk(), adv(), seed=123, dense=True)
-    np.testing.assert_array_equal(legacy.node_costs, dense.node_costs)

@@ -416,9 +416,6 @@ class TestMultichannelBatch:
 
         sim = MCSimulator(mk_one_to_one(), SilentAdversary(), 2, resolver="dense")
         assert sim.resolver == "dense"
-        with pytest.warns(DeprecationWarning):
-            legacy = MCSimulator(mk_one_to_one(), SilentAdversary(), 2, dense=True)
-        assert legacy.resolver == "dense"
 
 
 def test_simulator_resolver_independent_of_batching():

@@ -1,13 +1,13 @@
 """Differential tests for the batched protocol layer.
 
-PR 6 stacked sampling and resolution; this layer stacks the *protocols*
-themselves (``reset_batch`` / ``next_phase_batch`` / ``observe_batch`` /
-``summary_batch``), so the contract to enforce is the same but one level
-up: with the lockstep driver (``protocol_driver="batch"``), every trial
-of ``run_batch`` must stay bit-identical to a serial ``run`` — for the
-*entire* protocol zoo crossed with the adversary zoo, ablation variants
-included.  The serial per-trial driver (``protocol_driver="serial"``)
-is the differential oracle.
+The trial-batched kernel stacked sampling and resolution; this layer
+stacks the *protocols* themselves (``reset_batch`` /
+``next_phase_batch`` / ``observe_batch`` / ``summary_batch``), so the
+contract to enforce is the same but one level up: every trial of the
+lockstep ``run_batch`` loop must stay bit-identical to a scalar
+``run`` — for the *entire* protocol zoo crossed with the adversary zoo,
+ablation variants included.  ``run(seed)`` on fresh instances is the
+differential oracle.
 
 Also covered here: the masking rule (early-finished trials freeze, never
 re-activate, and never disturb survivors' rng streams), the serial-clone
@@ -37,13 +37,8 @@ from repro.adversaries import (
 )
 from repro.channel.events import TxKind
 from repro.engine.phase import BatchPhaseSpec, PhaseSpec
-from repro.engine.simulator import (
-    PROTOCOL_DRIVER_ENV,
-    Simulator,
-    resolve_protocol_driver_name,
-    run_batch,
-)
-from repro.errors import ConfigurationError, ProtocolError
+from repro.engine.simulator import Simulator, run_batch
+from repro.errors import ProtocolError
 from repro.protocols import (
     AlwaysOnSender,
     CombinedOneToOne,
@@ -119,13 +114,15 @@ GRID_CAPS = dict(max_slots=60_000, max_phases=250)
 
 
 def batch_vs_oracle(mk_protocol, mk_adversary, seeds, **sim_kwargs):
-    """Assert lockstep-driver trials ≡ serial-driver trials ≡ run()."""
-    oracle = Simulator(
-        mk_protocol(), mk_adversary(), protocol_driver="serial", **sim_kwargs
-    ).run_batch(seeds, make_protocol=mk_protocol, make_adversary=mk_adversary)
+    """Assert lockstep trials ≡ run(seed) on fresh instances."""
+    oracle = [
+        Simulator(mk_protocol(), mk_adversary(), **sim_kwargs).run(s)
+        for s in seeds
+    ]
     batch = Simulator(
-        mk_protocol(), mk_adversary(), protocol_driver="batch", **sim_kwargs
+        mk_protocol(), mk_adversary(), **sim_kwargs
     ).run_batch(seeds, make_protocol=mk_protocol, make_adversary=mk_adversary)
+    assert len(batch) == len(oracle)
     for got, want in zip(batch, oracle):
         assert result_json(got) == result_json(want)
     return batch, oracle
@@ -148,8 +145,7 @@ class TestZooBitIdentity:
         ids=[name for name, _ in PROTOCOL_ZOO],
     )
     def test_matches_single_runs(self, mk_protocol):
-        # Against run() directly (not just the serial batch driver), so
-        # a bug shared by both batch paths cannot hide.
+        # A second adversary shape against run() for every protocol.
         mk_a = lambda: SuffixJammer(0.5)  # noqa: E731
         seeds = [3, 4]
         serial = [
@@ -275,24 +271,21 @@ class TestRngStreamConsumption:
                 assert a.integers(2**62) == b.integers(2**62)
 
     def test_rng_pin_hardcoded(self):
-        # Regression pin through the lockstep driver and the stacked
-        # fig2 implementation: fails if any draw moves generator or
-        # call order.  Values generated by the serial oracle.
-        batch = run_batch(
-            OneToNBroadcast(5, PN),
-            EpochTargetJammer(PN.first_epoch + 1, q=1.0),
-            [0, 1],
-            protocol_driver="batch",
-        )
-        oracle = run_batch(
-            OneToNBroadcast(5, PN),
-            EpochTargetJammer(PN.first_epoch + 1, q=1.0),
-            [0, 1],
-            protocol_driver="serial",
-        )
-        assert batch.node_costs.tolist() == oracle.node_costs.tolist()
-        assert batch.slots.tolist() == oracle.slots.tolist()
-        assert batch.phases.tolist() == oracle.phases.tolist()
+        # Regression pin through both loops and the stacked fig2
+        # implementation: fails if any draw moves generator or call
+        # order.  Values recorded from fresh-instance run(seed).
+        mk_p = lambda: OneToNBroadcast(5, PN)  # noqa: E731
+        mk_a = lambda: EpochTargetJammer(PN.first_epoch + 1, q=1.0)  # noqa: E731
+        batch = run_batch(mk_p(), mk_a(), [0, 1])
+        oracle = [Simulator(mk_p(), mk_a()).run(s) for s in (0, 1)]
+        for got in (batch, oracle):
+            assert [r.node_costs.tolist() for r in got] == [
+                [18128, 19874, 21386, 20907, 21697],
+                [20119, 19766, 18973, 20168, 20663],
+            ]
+            assert [r.slots for r in got] == [47056, 45008]
+            assert [r.phases for r in got] == [378, 370]
+            assert [r.adversary_cost for r in got] == [656, 656]
 
 
 class TestSummaryBatch:
@@ -379,27 +372,6 @@ class TestSerialCloneFallback:
         )
         with pytest.raises(ProtocolError):
             BatchPhaseSpec.stack([a, b], n_nodes=2)
-
-
-class TestDriverKnob:
-    def test_explicit_spellings(self):
-        assert resolve_protocol_driver_name("batch") == "batch"
-        assert resolve_protocol_driver_name("serial") == "serial"
-        with pytest.raises(ConfigurationError):
-            resolve_protocol_driver_name("turbo")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(PROTOCOL_DRIVER_ENV, "serial")
-        assert resolve_protocol_driver_name() == "serial"
-        sim = Simulator(OneToOneBroadcast(P11), SilentAdversary())
-        assert sim.protocol_driver == "serial"
-        monkeypatch.setenv(PROTOCOL_DRIVER_ENV, "bogus")
-        with pytest.raises(ConfigurationError):
-            resolve_protocol_driver_name()
-
-    def test_default_is_batch(self, monkeypatch):
-        monkeypatch.delenv(PROTOCOL_DRIVER_ENV, raising=False)
-        assert resolve_protocol_driver_name() == "batch"
 
 
 class TestProfileHooks:

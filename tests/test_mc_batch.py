@@ -1,13 +1,14 @@
-"""Differential tests for the batched multichannel kernel.
+"""Differential tests for the multichannel medium of the shared loops.
 
 The contract mirrors the single-channel suite in
 ``tests/engine/test_batch.py``: trial ``t`` of
-``MCSimulator.run_batch(seeds)`` must equal ``run(seeds[t])`` exactly —
-same per-trial rng streams (``protocol``, ``hopping``, ``adversary``),
-same costs, same stats, same phase history — for every protocol and
-adversary in the multichannel zoo.  On top of that sit the regression
-pins for the three MC-specific bug classes: hop-rng stream ordering at
-C>1, real-slot cap semantics, and dirty-state deepcopy fallbacks.
+``MCSimulator.run_batch(seeds)`` must equal ``run(seeds[t])`` on fresh
+instances exactly — same per-trial rng streams (``protocol``,
+``hopping``, ``adversary``), same costs, same stats, same phase
+history — for every protocol and adversary in the multichannel zoo.
+On top of that sit the regression pins for the MC-specific bug
+classes: hop-rng stream ordering at C>1, real-slot cap semantics,
+engine reuse, and outcome feedback to adaptive adversaries.
 """
 
 from __future__ import annotations
@@ -19,12 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries import SuffixJammer
+from repro.engine.simulator import Simulator
 from repro.errors import BudgetExceededError
 from repro.experiments.registry import RunConfig
 from repro.experiments.runner import mc_replicate
 from repro.multichannel import (
     ChannelBandJammer,
     ChannelFollowerJammer,
+    ChannelJamPlan,
     ChannelSweepJammer,
     CZBroadcast,
     CZParams,
@@ -33,10 +37,13 @@ from repro.multichannel import (
     MCEpochTargetJammer,
     MCSimulator,
 )
-from repro.multichannel.engine import _hop, _hop_batch, _half_duplex
+from repro.multichannel.adversaries import MCAdversary
+from repro.multichannel.engine import HoppingChannels, _hop, _half_duplex
 from repro.channel.events import ListenEvents, SendEvents
+from repro.protocols import OneToNBroadcast, OneToNParams
 from repro.rng import RngFactory
 from repro.store import run_result_to_dict
+from repro.telemetry import read_events, session
 
 pytestmark = pytest.mark.engine
 
@@ -158,10 +165,10 @@ class TestMCDifferential:
 
 
 class TestHopRngContract:
-    """Satellite: the hop consumes the shared ``hopping`` stream in the
-    serial order (half-duplex filter, then sends, then listens) at C>1.
-    The C=1 bit-identity tests consume zero hop draws and cover none of
-    this."""
+    """The medium's hop, which both phase loops call per trial, consumes
+    the ``hopping`` stream in a fixed order (half-duplex filter, then
+    sends, then listens) at C>1.  The C=1 bit-identity tests consume
+    zero hop draws and cover none of this."""
 
     def _events(self, rng, length, n_nodes=6, n_each=10):
         s_nodes = rng.integers(0, n_nodes, n_each).astype(np.int64)
@@ -181,16 +188,15 @@ class TestHopRngContract:
         rngs_a = [np.random.default_rng(100 + t) for t in range(3)]
         rngs_b = [np.random.default_rng(100 + t) for t in range(3)]
 
-        v_sends, v_listens = _hop_batch(
-            events, [length] * 3, n_channels, rngs_a
-        )
+        medium = HoppingChannels(n_channels)
         for t, (sends, listens) in enumerate(events):
+            v_sends, v_listens = medium.hop(sends, listens, length, rngs_a[t])
             kept = _half_duplex(sends, listens, length)
             want_s = _hop(sends.slots, length, n_channels, rngs_b[t])
             want_l = _hop(kept.slots, length, n_channels, rngs_b[t])
-            assert np.array_equal(v_sends[t].slots, want_s)
-            assert np.array_equal(v_listens[t].slots, want_l)
-            assert np.array_equal(v_listens[t].nodes, kept.nodes)
+            assert np.array_equal(v_sends.slots, want_s)
+            assert np.array_equal(v_listens.slots, want_l)
+            assert np.array_equal(v_listens.nodes, kept.nodes)
             # Stream end-state: exactly the serial draws, no more.
             assert rngs_a[t].integers(2**62) == rngs_b[t].integers(2**62)
 
@@ -205,10 +211,10 @@ class TestHopRngContract:
         listens = ListenEvents(nodes, slots)
         rng = np.random.default_rng(0)
         ref = np.random.default_rng(0)
-        v_sends, v_listens = _hop_batch(
-            [(sends, listens)], [length], n_channels, [rng]
+        _, v_listens = HoppingChannels(n_channels).hop(
+            sends, listens, length, rng
         )
-        assert len(v_listens[0]) == 0  # all filtered
+        assert len(v_listens) == 0  # all filtered
         ref.integers(0, n_channels, 4)  # only the send hop drew
         assert rng.integers(2**62) == ref.integers(2**62)
 
@@ -283,43 +289,138 @@ class TestRealSlotCapSemantics:
 
 
 class TestRunBatchReuse:
-    """Satellite: the no-factory deepcopy fallback must seed trials from
-    pristine state, not from whatever an earlier run left behind."""
+    """Reusing one engine: without factories ``run_batch`` drives the
+    engine's live protocol and deep copies of its live adversary, whose
+    ``reset_batch`` / ``begin_run`` re-initialise all run state, so no
+    earlier ``run`` or ``run_batch`` may leak into a later one.  Runs on
+    the C-channel medium here and on the single channel in
+    :class:`TestRunBatchReuseOneChannel`."""
 
-    def test_back_to_back_run_batch_bit_identical(self):
-        sim = MCSimulator(
+    @staticmethod
+    def engine():
+        return MCSimulator(
             mk_cz(), FractionJammer(0.15, max_total=2000), C,
             max_slots=100_000,
         )
+
+    def test_back_to_back_run_batch_bit_identical(self):
+        sim = self.engine()
         seeds = [11, 12, 13]
         first = [result_json(r) for r in sim.run_batch(seeds)]
         second = [result_json(r) for r in sim.run_batch(seeds)]
         assert first == second
+        fresh = [result_json(self.engine().run(s)) for s in seeds]
+        assert first == fresh
 
     def test_run_then_run_batch_not_dirtied(self):
-        mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
-        fresh = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000)
-        want = [result_json(r) for r in fresh.run_batch([7, 8])]
-
-        dirty = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000)
+        want = [result_json(r) for r in self.engine().run_batch([7, 8])]
+        dirty = self.engine()
         dirty.run(42)  # mutates the live protocol/adversary
         got = [result_json(r) for r in dirty.run_batch([7, 8])]
         assert got == want
 
-    def test_serial_driver_reuse_matches_too(self):
+    def test_empty_batch(self):
+        assert list(self.engine().run_batch([])) == []
+
+
+class TestRunBatchReuseOneChannel(TestRunBatchReuse):
+    """The same reuse contract on the single-channel medium."""
+
+    @staticmethod
+    def engine():
+        return Simulator(
+            OneToNBroadcast(6, OneToNParams.sim()), SuffixJammer(0.6),
+            max_slots=100_000,
+        )
+
+
+class EchoJammer(MCAdversary):
+    """Adaptive stub: each phase jams the suffix half of as many
+    channels as the previous outcome had decodable data slots (mod
+    ``C + 1``), and records every outcome it is shown."""
+
+    def begin_run(self, n_nodes, n_channels, rng):
+        super().begin_run(n_nodes, n_channels, rng)
+        self.seen = []
+
+    def plan_phase(self, ctx):
+        k = self.seen[-1][0] % (ctx.n_channels + 1) if self.seen else 0
+        return ChannelJamPlan.band_suffix(
+            ctx.length, ctx.n_channels, k, ctx.length // 2
+        ).compile()
+
+    def observe_outcome(self, ctx, outcome):
+        self.seen.append((
+            int(outcome.data_slots), int(outcome.adversary_cost),
+            int(outcome.n_noise), outcome.heard.tolist(),
+        ))
+
+
+class TestSharedLoopParity:
+    """The MC engine gets outcome feedback, ``profile=`` stages and
+    telemetry spans from the shared phase loops."""
+
+    STAGES = {"protocol", "sampling", "adversary", "resolve", "accounting"}
+
+    def test_adaptive_adversary_sees_same_outcomes(self):
+        seeds = [3, 4, 5]
+        made = []
+
+        def mk_a():
+            made.append(EchoJammer())
+            return made[-1]
+
+        batch = MCSimulator(mk_cz(), EchoJammer(), C, max_slots=50_000).run_batch(
+            seeds, make_protocol=mk_cz, make_adversary=mk_a
+        )
+        serial, serial_seen = [], []
+        for s in seeds:
+            adv = EchoJammer()
+            serial.append(MCSimulator(mk_cz(), adv, C, max_slots=50_000).run(s))
+            serial_seen.append(adv.seen)
+        assert_identical(batch, serial)
+        assert [a.seen for a in made] == serial_seen
+        assert all(len(seen) == r.phases for seen, r in zip(serial_seen, serial))
+        # The feedback steered the plans: some phase jammed channels.
+        assert any(r.adversary_cost > 0 for r in serial)
+
+    @pytest.mark.parametrize("runner", ["run", "run_batch"])
+    def test_profile_stages(self, runner):
+        prof: dict = {}
         sim = MCSimulator(
             mk_cz(), FractionJammer(0.15, max_total=2000), C,
-            max_slots=100_000, protocol_driver="serial",
+            max_slots=100_000, profile=prof,
         )
-        sim.run(42)
-        a = [result_json(r) for r in sim.run_batch([1, 2])]
-        b = [result_json(r) for r in sim.run_batch([1, 2])]
-        assert a == b
+        plain = MCSimulator(
+            mk_cz(), FractionJammer(0.15, max_total=2000), C,
+            max_slots=100_000,
+        )
+        if runner == "run":
+            got, want = [sim.run(5)], [plain.run(5)]
+        else:
+            got, want = sim.run_batch([5, 6]), plain.run_batch([5, 6])
+        assert set(prof) == self.STAGES
+        assert all(v >= 0.0 for v in prof.values())
+        assert_identical(got, list(want))
 
-    def test_empty_batch(self):
-        sim = MCSimulator(mk_cz(), FractionJammer(0.15), C)
-        out = sim.run_batch([])
-        assert list(out) == []
+    def test_telemetry_spans(self, tmp_path):
+        mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
+        with session(tmp_path) as sink:
+            one = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run(5)
+            many = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run_batch(
+                [5, 6]
+            )
+        events = read_events(sink.run_dir)
+        (run_span,) = [e for e in events if e["name"] == "sim.run"]
+        assert run_span["ev"] == "span"
+        assert run_span["attrs"]["phases"] == one.phases
+        assert run_span["attrs"]["slots"] == one.slots
+        (batch_span,) = [e for e in events if e["name"] == "sim.run_batch"]
+        assert batch_span["attrs"]["trials"] == 2
+        assert batch_span["attrs"]["phases"] == int(many.phases.sum())
+        assert batch_span["attrs"]["events"] > 0
+        plain = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run(5)
+        assert result_json(plain) == result_json(one)
 
 
 class TestMCReplicateBatchCache:
