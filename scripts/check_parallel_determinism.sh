@@ -53,6 +53,13 @@
 #    to the CLI-saved one, (b) a warm resubmission against a fresh
 #    server over the same cache directory to be served 100% from the
 #    cache with zero executed task sets.
+# 13. Baseline gate: runs every registered experiment and ablation
+#    (`run all --batch 64`, quick mode, seed 0) and requires each saved
+#    report to be byte-identical to its committed
+#    `results/baseline/<eid>.json`, with no report missing or extra.
+#    It fails on the first difference, or when the CLI exits 1 because
+#    a claim check failed.  The pair gates above compare two modes that
+#    could drift together; this one pins the bytes themselves.
 #
 # Usage: scripts/check_parallel_determinism.sh [extra pytest args]
 
@@ -289,3 +296,25 @@ if ! grep -q " 0 misses" "$tmp/service-status.out"; then
     exit 1
 fi
 echo "OK: warm service resubmit byte-identical, 100% cache hits, 0 misses"
+
+echo "== baseline gate: run all --batch 64 vs results/baseline =="
+if ! python -m repro.cli run all --batch 64 --save "$tmp/all" \
+        > "$tmp/all.out"; then
+    echo "FAIL: run all exited non-zero (a claim check failed)" >&2
+    grep -i "fail" "$tmp/all.out" >&2 || true
+    exit 1
+fi
+for report in "$tmp"/all/*.json; do
+    eid=$(basename "$report")
+    if ! cmp "$report" "results/baseline/$eid"; then
+        echo "FAIL: $eid differs from results/baseline/$eid" >&2
+        exit 1
+    fi
+done
+n_saved=$(find "$tmp/all" -name '*.json' | wc -l)
+n_baseline=$(find results/baseline -name '*.json' | wc -l)
+if [ "$n_saved" -ne "$n_baseline" ]; then
+    echo "FAIL: run all saved $n_saved reports, results/baseline has $n_baseline" >&2
+    exit 1
+fi
+echo "OK: all $n_saved reports byte-identical to results/baseline at --batch 64"

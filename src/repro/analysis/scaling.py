@@ -9,9 +9,11 @@ confidence interval to know how seriously to take the comparison).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from repro.errors import AnalysisError
 
@@ -66,8 +68,9 @@ def fit_power_law(
     Parameters
     ----------
     x, y:
-        Positive samples; pairs with a non-positive coordinate raise
-        (an exponent through zero is meaningless).
+        Positive, finite samples; pairs with a non-positive coordinate
+        raise (an exponent through zero is meaningless), as do NaN and
+        inf.
     n_bootstrap:
         Resamples for the exponent confidence interval; 0 disables.
     rng:
@@ -78,7 +81,8 @@ def fit_power_law(
     Raises
     ------
     AnalysisError
-        On fewer than 2 distinct x values or non-positive data.
+        On fewer than 2 distinct x values, or non-positive or
+        non-finite data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -86,19 +90,15 @@ def fit_power_law(
         raise AnalysisError(f"x and y must be equal-length 1-D, got {x.shape}, {y.shape}")
     if len(x) < 2 or len(np.unique(x)) < 2:
         raise AnalysisError("power-law fit needs at least 2 distinct x values")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise AnalysisError("power-law fit requires finite data")
     if (x <= 0).any() or (y <= 0).any():
         raise AnalysisError("power-law fit requires strictly positive data")
     if not 0.0 < ci < 1.0:
         raise AnalysisError(f"ci must be in (0, 1), got {ci!r}")
 
     lx, ly = np.log(x), np.log(y)
-
-    def _fit(ix: np.ndarray) -> tuple[float, float]:
-        slope, intercept = np.polyfit(lx[ix], ly[ix], 1)
-        return float(slope), float(intercept)
-
-    all_idx = np.arange(len(x))
-    slope, intercept = _fit(all_idx)
+    slope, intercept = (float(c) for c in np.polyfit(lx, ly, 1))
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
@@ -107,17 +107,10 @@ def fit_power_law(
     ci_low = ci_high = slope
     if n_bootstrap > 0:
         gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        slopes = np.empty(n_bootstrap)
-        count = 0
-        for k in range(n_bootstrap):
-            ix = gen.integers(0, len(x), size=len(x))
-            if len(np.unique(lx[ix])) < 2:
-                continue  # degenerate resample; skip
-            slopes[count] = _fit(ix)[0]
-            count += 1
-        if count >= max(10, n_bootstrap // 10):
+        slopes = _bootstrap_slopes(lx, ly, n_bootstrap, gen)
+        if len(slopes) >= max(10, n_bootstrap // 10):
             alpha = (1.0 - ci) / 2.0
-            ci_low, ci_high = np.quantile(slopes[:count], [alpha, 1.0 - alpha])
+            ci_low, ci_high = np.quantile(slopes, [alpha, 1.0 - alpha])
 
     return PowerLawFit(
         exponent=slope,
@@ -127,3 +120,44 @@ def fit_power_law(
         ci_high=float(ci_high),
         n_points=len(x),
     )
+
+
+def _raise_lstsq_error(err: str, flag: int) -> None:
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _bootstrap_slopes(
+    lx: np.ndarray, ly: np.ndarray, n_bootstrap: int, gen: np.random.Generator
+) -> np.ndarray:
+    """Slopes of ``np.polyfit(lx[ix], ly[ix], 1)`` over bootstrap resamples.
+
+    Draws ``n_bootstrap`` resamples ``ix`` of ``len(lx)`` indices each
+    (the same values, and the same final ``gen`` state, as drawing them
+    one resample at a time), drops those with fewer than 2 distinct
+    ``lx[ix]`` and returns the kept slopes in draw order.  The fits run
+    ``np.polyfit``'s own degree-1 steps on the whole stack at once:
+    vander columns ``[x, 1]``, column-norm scaling, LAPACK ``gelsd``
+    with ``rcond = m * eps`` (the gufunc ``np.linalg.lstsq`` loops over),
+    then unscaling, so every slope is bit-identical to ``np.polyfit``'s.
+    ``lx`` must be finite, which makes the distinctness test exact.
+    """
+    m = len(lx)
+    ix = gen.integers(0, m, size=(n_bootstrap, m))
+    xs = lx[ix]
+    keep = (xs != xs[:, :1]).any(axis=1)
+    ix, xs = ix[keep], xs[keep]
+    lhs = np.stack([xs, np.ones_like(xs)], axis=-1)
+    scale = np.sqrt((lhs * lhs).sum(axis=1))
+    lhs /= scale[:, np.newaxis, :]
+    with np.errstate(call=_raise_lstsq_error, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        coef, _, rank, _ = _umath_linalg.lstsq(
+            lhs, ly[ix][..., np.newaxis], m * np.finfo(float).eps,
+            signature="ddd->ddid",
+        )
+    if (rank < 2).any():
+        warnings.warn(
+            "Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+            stacklevel=3,
+        )
+    return coef[:, 0, 0] / scale[:, 0]

@@ -109,6 +109,13 @@ class ServiceServer:
                     request = await self._read_request(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
+                except _HttpError as exc:
+                    # An unparsable head or an unread body leaves the
+                    # stream out of step: answer, then close.
+                    await self._send_json(
+                        writer, exc.status, {"error": str(exc)}
+                    )
+                    return
                 if request is None:
                     return
                 method, path, query, body = request
@@ -142,7 +149,10 @@ class ServiceServer:
             if ":" in line:
                 name, _, value = line.partition(":")
                 headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _HttpError(400, f"bad Content-Length: {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise _HttpError(413, f"body of {length} bytes exceeds {_MAX_BODY}")
         body = await reader.readexactly(length) if length else b""

@@ -58,6 +58,11 @@ class TestFitPowerLaw:
             fit_power_law(np.array([1.0, -2.0]), np.array([1.0, 2.0]))
         with pytest.raises(AnalysisError):
             fit_power_law(np.array([1.0, 2.0]), np.array([0.0, 2.0]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(AnalysisError, match="finite"):
+                fit_power_law(np.array([1.0, 2.0, 4.0]), np.array([1.0, bad, 3.0]))
+            with pytest.raises(AnalysisError, match="finite"):
+                fit_power_law(np.array([1.0, bad, 4.0]), np.array([1.0, 2.0, 3.0]))
 
 
 class TestRunStats:

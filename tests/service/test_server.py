@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
@@ -200,3 +201,44 @@ class TestErrorStatuses:
         conn.close()
         assert response.status == 400
         assert "not JSON" in body["error"]
+
+
+def _raw_exchange(url: str, request: bytes) -> tuple[int, dict]:
+    """Send raw bytes, read until the server closes; (status, JSON body)."""
+    client = ServiceClient(url)
+    with socket.create_connection((client.host, client.port), timeout=30) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head, "server closed without replying"
+    return int(head.split()[1]), json.loads(body)
+
+
+class TestRequestParseErrors:
+    """Unparsable requests get a JSON error reply, then the server closes."""
+
+    def test_oversized_body_is_413(self, service):
+        url, _ = service
+        status, body = _raw_exchange(
+            url, b"POST /v1/jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n"
+        )
+        assert status == 413
+        assert "exceeds" in body["error"]
+
+    def test_malformed_request_line_is_400(self, service):
+        url, _ = service
+        status, body = _raw_exchange(url, b"GARBAGE\r\n\r\n")
+        assert status == 400
+        assert "malformed request line" in body["error"]
+
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_bad_content_length_is_400(self, service, length):
+        url, _ = service
+        status, body = _raw_exchange(
+            url,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n",
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
