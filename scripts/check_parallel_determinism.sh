@@ -12,7 +12,9 @@
 #    and requires the two saved reports to be byte-identical.
 # 5. Runs E1 through the CLI twice against the same cache directory and
 #    requires the warm-cache report to be byte-identical to the cold
-#    one, with every cell served from the cache.
+#    one, with every cell served from the cache.  A third run at
+#    --batch 8 over the same directory must match too, again with every
+#    cell a hit: batch 1 and batch 8 share one cache path.
 # 6. Runs E1 with the sparse resolver (default) and the dense oracle
 #    (REPRO_RESOLVER=dense) and requires the two saved reports to be
 #    byte-identical — the end-to-end differential gate for the
@@ -43,8 +45,10 @@
 # 10. Runs E1 with and without --telemetry and requires the two saved
 #    reports to be byte-identical (telemetry is write-only
 #    observability), plus `telemetry summarize` to render the run.
-#    Same for E15, whose runs are all on MCSimulator: its summary must
-#    list a sim.run span, which only the shared phase loop emits.
+#    The same pair at --batch 8 gates the lockstep loop: its summary
+#    must list a sim.run_batch span.  Same for E15, whose runs are all
+#    on MCSimulator: its summary must list a sim.run span, which only
+#    the shared phase loop emits.
 # 11. Runs the `service`-marked pytest suite (job dedupe, HTTP
 #    server/client end-to-end).
 # 12. Service smoke gate: starts `repro-bcast serve` in the
@@ -101,7 +105,18 @@ if ! grep -q "(100%" "$tmp/warm.out"; then
     cat "$tmp/warm.out" >&2
     exit 1
 fi
-echo "OK: E1 report byte-identical cold vs warm, 100% cache hits"
+python -m repro.cli run E1 --seed 11 --batch 8 --cache \
+    --cache-dir "$tmp/cache" --save "$tmp/warm-b8" > "$tmp/warm-b8.out"
+if ! cmp "$tmp/cold/E1.json" "$tmp/warm-b8/E1.json"; then
+    echo "FAIL: warm --batch 8 report differs from cold report" >&2
+    exit 1
+fi
+if ! grep -q "(100%" "$tmp/warm-b8.out"; then
+    echo "FAIL: warm --batch 8 run was not served entirely from the cache" >&2
+    cat "$tmp/warm-b8.out" >&2
+    exit 1
+fi
+echo "OK: E1 report byte-identical cold vs warm (batch 1 and 8), 100% cache hits"
 
 echo "== CLI byte-identity: sparse resolver vs dense oracle (run E1) =="
 python -m repro.cli run E1 --seed 11 --save "$tmp/sparse" > /dev/null
@@ -213,6 +228,27 @@ if ! grep -q "executor.task" "$tmp/tele-summary.out"; then
     exit 1
 fi
 echo "OK: E1 report byte-identical with --telemetry; summarize renders spans"
+
+echo "== CLI byte-identity: run E1 --batch 8 with vs without --telemetry =="
+python -m repro.cli run E1 --seed 11 --batch 8 --save "$tmp/tele-b8-off" \
+    > /dev/null
+python -m repro.cli run E1 --seed 11 --batch 8 --telemetry "$tmp/tele-b8" \
+    --save "$tmp/tele-b8-on" > /dev/null
+if ! cmp "$tmp/tele-b8-off/E1.json" "$tmp/tele-b8-on/E1.json"; then
+    echo "FAIL: telemetry-on --batch 8 report differs from telemetry-off" >&2
+    exit 1
+fi
+if ! python -m repro.cli telemetry summarize --dir "$tmp/tele-b8" \
+        > "$tmp/tele-b8-summary.out"; then
+    echo "FAIL: telemetry summarize failed on the --batch 8 run" >&2
+    exit 1
+fi
+if ! grep -q "sim\.run_batch" "$tmp/tele-b8-summary.out"; then
+    echo "FAIL: --batch 8 telemetry summary lists no sim.run_batch span" >&2
+    cat "$tmp/tele-b8-summary.out" >&2
+    exit 1
+fi
+echo "OK: E1 --batch 8 report byte-identical with --telemetry; sim.run_batch spans"
 
 echo "== CLI byte-identity: run E15 (multichannel) with vs without --telemetry =="
 python -m repro.cli run E15 --seed 11 --save "$tmp/e15-tele-off" > /dev/null

@@ -32,6 +32,7 @@ from repro.arena.space import (
     protocol_factory,
 )
 from repro.errors import AnalysisError, ConfigurationError
+from repro.locking import locked_append
 
 __all__ = ["ATTACK_SCHEMA", "AttackCorpus", "AttackRecord", "shrink"]
 
@@ -151,8 +152,9 @@ class AttackCorpus:
     """Fingerprint-keyed, append-only attack store (one JSON per line).
 
     The file is the source of truth; the in-memory index is rebuilt on
-    construction, tolerating torn final lines (a crashed writer loses
-    at most its own last record).
+    construction, skipping torn lines.  Appends are locked and start on
+    a fresh line (:func:`repro.locking.locked_append`), so a crashed
+    writer loses at most its own last record.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -206,8 +208,8 @@ class AttackCorpus:
         if not self._keep_strongest(record):
             return False
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+        line = json.dumps(record.to_json(), sort_keys=True) + "\n"
+        locked_append(self.path, line.encode("utf-8"))
         return True
 
     def replay(

@@ -15,10 +15,11 @@ miss tasks — and, under the sweep service, read by many concurrent
 client threads sharing one store — so the protocol is
 single-writer-per-append, lock-free snapshot reads:
 
-* every append takes an exclusive lock on its segment
-  (:func:`repro.locking.exclusive_lock`: ``fcntl`` where available, an
-  atomic ``O_EXCL`` lockfile elsewhere), writes the record as a single
-  ``write`` call, and re-checks its inode after locking so a
+* every append goes through :func:`repro.locking.locked_append`: it
+  takes an exclusive lock on its segment (``fcntl`` where available,
+  an atomic ``O_EXCL`` lockfile elsewhere), writes the record as a
+  single ``write`` call (after a newline if a crashed writer left the
+  segment torn), and re-checks its inode after locking so a
   concurrent :meth:`CacheStore.compact` cannot strand the append in a
   replaced file;
 * readers take no lock at all: a record is *committed* only once its
@@ -44,7 +45,7 @@ from pathlib import Path
 
 from repro.engine.simulator import RunResult
 from repro.errors import CacheError
-from repro.locking import exclusive_lock
+from repro.locking import exclusive_lock, locked_append
 from repro.store import run_result_from_dict, run_result_to_dict
 from repro.telemetry.sink import get_sink
 
@@ -137,7 +138,7 @@ class CacheStore:
         path = self._segment(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        lock_wait = self._locked_append(path, data)
+        lock_wait = locked_append(path, data)
         sink = get_sink()
         if sink is not None:
             sink.span_event(
@@ -145,35 +146,6 @@ class CacheStore:
                 bytes=len(data), lock_wait=round(lock_wait, 6),
             )
         return len(data)
-
-    @staticmethod
-    def _locked_append(path: Path, data: bytes) -> float:
-        """Append ``data`` under the segment lock; returns lock-wait.
-
-        :meth:`compact` swaps segments in with ``os.replace`` (so
-        lock-free readers always see a whole file), which opens a
-        writer race: lock the *old* inode while compaction replaces the
-        path, then append into the unlinked file — a silently lost
-        entry.  After acquiring the lock we therefore verify the locked
-        inode is still the one the path names, and reopen if not.
-        """
-        t0 = time.perf_counter()
-        while True:
-            with open(path, "ab") as fh:
-                with exclusive_lock(fh, path):
-                    st_open = os.fstat(fh.fileno())
-                    try:
-                        st_path = os.stat(path)
-                    except FileNotFoundError:
-                        continue  # replaced or gc'd under us; reopen
-                    if (st_open.st_ino, st_open.st_dev) != (
-                        st_path.st_ino, st_path.st_dev,
-                    ):
-                        continue  # segment swapped by compact; reopen
-                    lock_wait = time.perf_counter() - t0
-                    fh.write(data)
-                    fh.flush()
-                    return lock_wait
 
     # -- read path -------------------------------------------------------
 
@@ -251,12 +223,12 @@ class CacheStore:
 
         Each rewrite lands as a whole-file ``os.replace`` (under the
         segment lock, so appenders serialize against it and re-check
-        their inode — see :meth:`_locked_append`).  An earlier version
-        truncated the segment *in place*, which let a lock-free reader
-        snapshot a new-prefix/old-suffix hybrid whose seam could glue
-        two half records into one committed-looking line; atomic
-        replacement means readers only ever see a complete old or
-        complete new segment.
+        their inode — see :func:`repro.locking.locked_append`).  An
+        earlier version truncated the segment *in place*, which let a
+        lock-free reader snapshot a new-prefix/old-suffix hybrid whose
+        seam could glue two half records into one committed-looking
+        line; atomic replacement means readers only ever see a complete
+        old or complete new segment.
         """
         reclaimed = 0
         for path in self._segment_paths():

@@ -227,17 +227,6 @@ class BatchPhaseSpec:
     def n_nodes(self) -> int:
         return self.send_probs.shape[1]
 
-    def spec_for(self, t: int) -> PhaseSpec:
-        """Per-trial :class:`PhaseSpec` view of row ``t`` (must be active)."""
-        return PhaseSpec(
-            length=int(self.lengths[t]),
-            send_probs=self.send_probs[t],
-            send_kinds=self.send_kinds[t],
-            listen_probs=self.listen_probs[t],
-            groups=self.groups,
-            tags=dict(self.tags[t] or {}),
-        )
-
     @staticmethod
     def stack(specs: "list[PhaseSpec | None]", n_nodes: int) -> "BatchPhaseSpec | None":
         """Stack per-trial specs (``None`` rows inactive); ``None`` if all are.

@@ -2,12 +2,12 @@
 
 :meth:`Simulator.run` plays one complete execution of a protocol against
 an adversary with full energy accounting; :meth:`Simulator.run_batch`
-plays B of them in lockstep, bit-identical per trial.  They are the
-engine's only two phase loops: the multichannel engine
-(:class:`repro.multichannel.engine.MCSimulator`) drives the same two
-and differs only in its *medium* (:class:`SingleChannel` here).  The
-loops are phase-granular; all slot-level work happens vectorised inside
-:mod:`repro.channel.model`.
+plays B of them in lockstep, bit-identical per trial (one trial takes
+the scalar loop).  They are the engine's only two phase loops: the
+multichannel engine (:class:`repro.multichannel.engine.MCSimulator`)
+drives the same two and differs only in its *medium*
+(:class:`SingleChannel` here).  The loops are phase-granular; all
+slot-level work happens vectorised inside :mod:`repro.channel.model`.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ class Simulator:
 
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one execution and return its :class:`RunResult`."""
-        return self._run(seed)
+        return self._run(seed, self.protocol, self.adversary)
 
     def run_batch(
         self,
@@ -290,7 +290,9 @@ class Simulator:
         and the protocol state are stacked across trials, which is
         where the per-trial Python overhead lived.  Trials advance in
         lockstep; a trial whose protocol halts (or trips the safety
-        caps) simply drops out of subsequent steps.
+        caps) simply drops out of subsequent steps.  A one-trial batch
+        plays through the scalar loop of :meth:`run` instead, so it
+        emits a ``sim.run`` telemetry span and honours ``trace=``.
 
         Parameters
         ----------
@@ -312,8 +314,9 @@ class Simulator:
         """
         return self._run_batch(seeds, make_protocol, make_adversary)
 
-    def _run(self, seed) -> RunResult:
-        """The scalar phase loop behind every engine's ``run``."""
+    def _run(self, seed, protocol: Protocol, adversary) -> RunResult:
+        """The scalar phase loop behind every engine's ``run`` and
+        one-trial ``run_batch``."""
         factory = RngFactory(seed)
         protocol_rng = factory.get("protocol")
         adversary_rng = factory.get("adversary")
@@ -322,8 +325,6 @@ class Simulator:
         C = medium.n_channels
         jam_groups = medium.jam_groups
 
-        protocol = self.protocol
-        adversary = self.adversary
         n_nodes = protocol.n_nodes
         protocol.reset(protocol_rng)
 
@@ -467,25 +468,33 @@ class Simulator:
         runnable set, never compacted: their rows ride along frozen,
         which keeps every surviving trial's rng consumption on the
         scalar schedule.
+
+        This is the one place that picks a loop: a one-trial batch plays
+        through the scalar :meth:`_run` (same bits, none of the stacked
+        layers' fixed per-call cost), so a trace recorder works there
+        and is rejected only for more than one trial.
         """
-        if self.trace is not None:
-            raise ConfigurationError(
-                "trace recording is per-run; use run() for traced executions"
-            )
         seeds = list(seeds)
         if not seeds:
             return BatchResult(results=(), seeds=())
-        B = len(seeds)
-        medium = self.medium
-        C = medium.n_channels
         protocol = (
             make_protocol() if make_protocol is not None else self.protocol
         )
         adversaries = [
             make_adversary() if make_adversary is not None
             else copy.deepcopy(self.adversary)
-            for _ in range(B)
+            for _ in seeds
         ]
+        if len(seeds) == 1:
+            result = self._run(seeds[0], protocol, adversaries[0])
+            return BatchResult(results=(result,), seeds=tuple(seeds))
+        if self.trace is not None:
+            raise ConfigurationError(
+                "trace recording is per-run; use run() for traced executions"
+            )
+        B = len(seeds)
+        medium = self.medium
+        C = medium.n_channels
         n_nodes = protocol.n_nodes
         base = medium.adversary_base
         adv_type = type(adversaries[0])

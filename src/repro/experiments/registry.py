@@ -56,12 +56,13 @@ class RunConfig:
         Worker processes for replication fan-out (``1`` = serial,
         ``0``/negative = one per core).
     batch:
-        Trials per executor task (``1`` = one run per task, the
-        historical shape).  Values above 1 pack that many replications
-        into one :meth:`~repro.engine.simulator.Simulator.run_batch`
-        call, amortising per-phase Python overhead across the batch.
-        Like ``jobs``, this is an execution knob: any value produces
-        byte-identical reports.
+        Most trials per executor task.  Every sweep runs its cache
+        misses as :meth:`~repro.engine.simulator.Simulator.run_batch`
+        groups of up to this many trials from one sweep cell; ``1``
+        gives one-trial groups, which the engine plays through its
+        scalar loop, and larger values amortise per-phase Python
+        overhead across a lockstep batch.  Like ``jobs``, this is an
+        execution knob: any value produces byte-identical reports.
     timeout:
         Per-replication wall-clock limit in seconds (``None`` = no
         limit).

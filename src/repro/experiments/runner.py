@@ -1,11 +1,13 @@
 """Shared experiment machinery: tables, replication, jam sweeps.
 
-``replicate`` and ``sweep_epoch_targets`` fan their independent
-simulation tasks out through :mod:`repro.engine.executor`; pass a
+``replicate``, ``mc_replicate`` and ``sweep_epoch_targets`` share one
+body: a sweep is a list of cells, and each cell's trials run as
+``run_batch`` tasks of up to ``config.batch`` trials, fanned out through
+:mod:`repro.engine.executor`; pass a
 :class:`~repro.experiments.registry.RunConfig` via ``config=`` to run
-them on several worker processes.  Seeds are derived per task from
-indices fixed before execution starts, so serial and parallel runs are
-bit-identical.
+them on several worker processes.  Seeds are derived per trial from
+indices fixed before execution starts, so serial, parallel and batched
+runs are bit-identical.
 
 With ``config.cache`` enabled, every task is first looked up in the
 content-addressed result cache (:mod:`repro.cache`) by a fingerprint of
@@ -172,26 +174,8 @@ def _group_keys(base: dict | None, make_adversary, seed_paths) -> list:
     return [task_key(with_adv, path) for path in seed_paths]
 
 
-def _dispatch(tasks, keys, config, store) -> list:
-    """Run tasks through the cache when one is configured, else
-    straight through the executor."""
-    kwargs = _executor_kwargs(config)
-    if store is None or all(k is None for k in keys):
-        return run_tasks(tasks, **kwargs)
-    from repro.cache import cached_run_tasks
-
-    return cached_run_tasks(
-        tasks,
-        keys,
-        store=store,
-        resume=config.resume,
-        meta={"experiment": config.experiment},
-        run_kwargs=kwargs,
-    )
-
-
 def _resolve_batch(config) -> int:
-    """Trials per executor task (``1`` = the historical one-run tasks)."""
+    """Trials per executor task (``1`` without a config)."""
     if config is None:
         return 1
     batch = getattr(config, "batch", 1)
@@ -201,18 +185,20 @@ def _resolve_batch(config) -> int:
 
 
 def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> list:
-    """Batched counterpart of :func:`_dispatch`.
+    """Serve cache hits and run the misses as ``run_batch`` groups.
 
     ``spans`` are ``(start, stop)`` trial-index ranges that may share
-    one ``run_batch`` task — one span per adversary setting, since a
-    batch is built from a single pair of factories.  Cache hits are
-    served individually; the remaining misses of each span are chunked
-    into groups of at most ``batch`` trials and each group runs as one
-    executor task.  Every cacheable trial still writes its *own* entry
-    back from inside the worker, so batching changes neither the cache
-    granularity nor resumability — and because each trial's rng streams
-    are independent of batch composition, a chunk thinned by cache hits
-    produces the same bits as a full one.
+    one ``run_batch`` task — one span per sweep cell, since a batch is
+    built from a single pair of factories.  Cache hits are served
+    individually; the remaining misses of each span are chunked into
+    groups of at most ``batch`` trials and each group runs as one
+    executor task (at ``batch=1``, one trial per task).  Every
+    cacheable trial still writes its *own* entry back from inside the
+    worker, so batching changes neither the cache granularity nor
+    resumability — and because each trial's rng streams are independent
+    of batch composition, a chunk thinned by cache hits produces the
+    same bits as a full one.  ``config`` may be ``None`` (serial,
+    uncached).
     """
     kwargs = _executor_kwargs(config)
     stats = kwargs.get("stats")
@@ -237,12 +223,11 @@ def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> lis
         if keys[i] is not None and keys[i] in hits:
             results[i] = hits[keys[i]]
 
-    meta = {"experiment": config.experiment}
-
     def wrap(group):
         task = make_group_task(group)
         if store is None or all(keys[i] is None for i in group):
             return lambda: (task(), 0)
+        meta = {"experiment": config.experiment}
 
         def wrapped():
             values = task()
@@ -308,14 +293,18 @@ def replicate(
     ``config`` is an optional
     :class:`~repro.experiments.registry.RunConfig` supplying the
     executor options (jobs, batch, timeout, retries, history); ``None``
-    runs serially in-process.  With ``config.batch > 1`` replications
-    are packed into :meth:`~repro.engine.simulator.Simulator.run_batch`
-    tasks of that size — bit-identical results, per-trial cache entries.
+    runs serially in-process.  Replications run as
+    :meth:`~repro.engine.simulator.Simulator.run_batch` tasks of up to
+    ``config.batch`` trials — bit-identical results, per-trial cache
+    entries, at every batch size.
     """
-    return _replicate(
-        Simulator, "replicate", {}, make_protocol, make_adversary,
-        n_reps, seed, config, sim_kwargs,
+    if n_reps < 1:
+        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
+    cells = [(make_adversary, [(seed, r) for r in range(n_reps)])]
+    (results,) = _run_cells(
+        Simulator, "replicate", {}, make_protocol, cells, config, sim_kwargs
     )
+    return results
 
 
 def mc_replicate(
@@ -338,41 +327,46 @@ def mc_replicate(
     ``"mc_replicate"``), so single- and multi-channel runs of the same
     protocol can never collide in the store.
 
-    With ``config.batch > 1`` cache misses are chunked into
-    ``MCSimulator.run_batch`` lockstep groups (warm hits are still
-    served individually from the store), exactly like the
-    single-channel path — per-trial results and cache entries are
-    bit-identical either way, so a sweep can be killed under one batch
-    setting and resumed under another.
+    Cache misses run as ``MCSimulator.run_batch`` groups of up to
+    ``config.batch`` trials (warm hits are served individually from the
+    store), exactly like the single-channel path — per-trial results
+    and cache entries are bit-identical at every batch size, so a sweep
+    can be killed under one batch setting and resumed under another.
     """
     from repro.multichannel.engine import MCSimulator
 
-    return _replicate(
+    if n_reps < 1:
+        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
+    cells = [(make_adversary, [(seed, r) for r in range(n_reps)])]
+    (results,) = _run_cells(
         functools.partial(MCSimulator, n_channels=n_channels),
         "mc_replicate", {"n_channels": n_channels},
-        make_protocol, make_adversary, n_reps, seed, config, sim_kwargs,
+        make_protocol, cells, config, sim_kwargs,
     )
+    return results
 
 
-def _replicate(
+def _run_cells(
     engine,
     kind: str,
     key_options: dict,
     make_protocol,
-    make_adversary,
-    n_reps: int,
-    seed: int,
+    cells,
     config,
     sim_kwargs: dict,
-) -> list[RunResult]:
-    """The body of :func:`replicate` and :func:`mc_replicate`.
+) -> list[list[RunResult]]:
+    """The one body of :func:`replicate`, :func:`mc_replicate` and
+    :func:`sweep_epoch_targets`; returns one result list per cell.
 
-    ``engine(protocol, adversary, **sim_kwargs)`` builds one task's
-    simulator; the cache fingerprint covers ``kind`` and the engine
-    options, ``sim_kwargs`` plus ``key_options``.
+    A sweep is a list of *cells* ``(make_adversary, seed_paths)``:
+    trial ``i`` of a cell plays ``derive(*seed_paths[i])`` against a
+    fresh ``make_adversary()``.  ``engine(protocol, adversary,
+    **sim_kwargs)`` builds each task's simulator, and the task plays
+    its group through ``run_batch`` on that simulator's freshly built
+    protocol — the engine, not this function, picks the loop for the
+    group's trial count.  The cache fingerprint covers ``kind`` and
+    the engine options, ``sim_kwargs`` plus ``key_options``.
     """
-    if n_reps < 1:
-        raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     if config is not None and config.history:
         sim_kwargs.setdefault("keep_history", True)
     batch = _resolve_batch(config)
@@ -381,38 +375,29 @@ def _replicate(
     base = _fingerprint_base(
         config, store, kind, make_protocol, dict(sim_kwargs, **key_options)
     )
-    keys = _group_keys(base, make_adversary, [(seed, r) for r in range(n_reps)])
+    spans, keys, trials = [], [], []
+    for make_adversary, paths in cells:
+        spans.append((len(trials), len(trials) + len(paths)))
+        keys += _group_keys(base, make_adversary, paths)
+        trials += [(make_adversary, path) for path in paths]
 
-    def make_sim():
-        return engine(make_protocol(), make_adversary(), **sim_kwargs)
+    def make_group_task(group: list[int]) -> Callable[[], list[RunResult]]:
+        make_adversary = trials[group[0]][0]
+        paths = [trials[i][1] for i in group]
 
-    if batch > 1:
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            def task() -> list[RunResult]:
-                return list(
-                    make_sim().run_batch(
-                        [derive(seed, r) for r in group],
-                        make_protocol=make_protocol,
-                        make_adversary=make_adversary,
-                    )
+        def task() -> list[RunResult]:
+            sim = engine(make_protocol(), make_adversary(), **sim_kwargs)
+            return list(
+                sim.run_batch(
+                    [derive(*path) for path in paths],
+                    make_adversary=make_adversary,
                 )
-
-            return task
-
-        return _dispatch_batched(
-            [(0, n_reps)], make_batch_task, keys, config, store, batch
-        )
-
-    def make_task(r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            return make_sim().run(derive(seed, r))
+            )
 
         return task
 
-    return _dispatch(
-        [make_task(r) for r in range(n_reps)], keys, config, store
-    )
+    flat = _dispatch_batched(spans, make_group_task, keys, config, store, batch)
+    return [flat[start:stop] for start, stop in spans]
 
 
 @dataclass(frozen=True)
@@ -470,69 +455,20 @@ def sweep_epoch_targets(
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     targets = list(targets)
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
-    batch = _resolve_batch(config)
-
-    store = config.resolve_cache_store() if config is not None else None
-    base = _fingerprint_base(
-        config, store, "sweep_epoch_targets", make_protocol, sim_kwargs
-    )
-    keys = [
-        key
-        for t in targets
-        for key in _group_keys(
-            base,
-            lambda t=t: make_adversary(t),
+    # One cell per target: batches never straddle targets, since one
+    # run_batch call uses one adversary factory.
+    cells = [
+        (
+            functools.partial(make_adversary, t),
             [(seed + 1000 * t, r) for r in range(n_reps)],
         )
+        for t in targets
     ]
-
-    if batch > 1:
-        # Batches never straddle targets: one run_batch call uses one
-        # adversary factory, and each target is a different adversary.
-        spans = [(ti * n_reps, (ti + 1) * n_reps) for ti in range(len(targets))]
-
-        def make_batch_task(group: list[int]) -> Callable[[], list[RunResult]]:
-            target = targets[group[0] // n_reps]
-
-            def task() -> list[RunResult]:
-                sim = Simulator(
-                    make_protocol(), make_adversary(target), **sim_kwargs
-                )
-                return list(
-                    sim.run_batch(
-                        [
-                            derive(seed + 1000 * target, i % n_reps)
-                            for i in group
-                        ],
-                        make_protocol=make_protocol,
-                        make_adversary=lambda: make_adversary(target),
-                    )
-                )
-
-            return task
-
-        flat = _dispatch_batched(
-            spans, make_batch_task, keys, config, store, batch
-        )
-        return [
-            _aggregate_point(target, flat[i * n_reps : (i + 1) * n_reps], n_reps)
-            for i, target in enumerate(targets)
-        ]
-
-    def make_task(target: int, r: int) -> Callable[[], RunResult]:
-        def task() -> RunResult:
-            sim = Simulator(
-                make_protocol(), make_adversary(target), **sim_kwargs
-            )
-            return sim.run(derive(seed + 1000 * target, r))
-
-        return task
-
-    tasks = [make_task(t, r) for t in targets for r in range(n_reps)]
-    flat = _dispatch(tasks, keys, config, store)
+    per_target = _run_cells(
+        Simulator, "sweep_epoch_targets", {}, make_protocol, cells, config,
+        sim_kwargs,
+    )
     return [
-        _aggregate_point(target, flat[i * n_reps : (i + 1) * n_reps], n_reps)
-        for i, target in enumerate(targets)
+        _aggregate_point(target, results, n_reps)
+        for target, results in zip(targets, per_target)
     ]

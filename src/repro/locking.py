@@ -1,8 +1,10 @@
 """Cross-process exclusive file locking with a portable fallback.
 
-Both the result cache (:mod:`repro.cache.store`) and the telemetry sink
-(:mod:`repro.telemetry.sink`) append JSONL records from forked executor
-workers, so every append must be serialized across processes.  On POSIX
+The result cache (:mod:`repro.cache.store`), the telemetry sink
+(:mod:`repro.telemetry.sink`) and the attack corpus
+(:mod:`repro.arena.corpus`) append JSONL records, the first two from
+forked executor workers, so every append must be serialized across
+processes: all three go through :func:`locked_append`.  On POSIX
 that is one ``fcntl.flock`` call; where ``fcntl`` is missing (or has
 been monkeypatched away in tests) we fall back to an ``O_CREAT|O_EXCL``
 lockfile next to the target — exclusive creation is atomic on every
@@ -28,7 +30,7 @@ try:  # POSIX only; the lockfile fallback covers everything else.
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
-__all__ = ["exclusive_lock", "lockfile_path"]
+__all__ = ["exclusive_lock", "locked_append", "lockfile_path"]
 
 #: How long the lockfile fallback sleeps between creation attempts.
 _SPIN_INTERVAL = 0.002
@@ -84,3 +86,43 @@ def exclusive_lock(fh, path: str | Path, *, stale_after: float = DEFAULT_STALE_A
             lock.unlink()
         except OSError:  # pragma: no cover - lock broken under us
             pass
+
+
+def locked_append(path: str | Path, data: bytes) -> float:
+    """Append whole lines ``data`` to ``path`` under its exclusive lock.
+
+    Returns the seconds spent waiting for the lock.
+
+    Live writers write whole lines while holding the lock, so a file
+    that does not end in a newline once the lock is held was left torn
+    by a dead writer.  The append then starts with a newline, which
+    keeps that fragment on its own (unparseable) line; without it the
+    new record would be glued onto the fragment and lost with it.
+
+    A file can also be swapped out under the lock: the cache's
+    ``compact`` installs rewritten segments with ``os.replace``.
+    Appending to the old inode would lose the record silently, so
+    after locking we check that the locked inode is still the one the
+    path names, and reopen if not.
+    """
+    t0 = time.perf_counter()
+    while True:
+        with open(path, "a+b") as fh:
+            with exclusive_lock(fh, path):
+                st_open = os.fstat(fh.fileno())
+                try:
+                    st_path = os.stat(path)
+                except FileNotFoundError:
+                    continue  # replaced or removed under us; reopen
+                if (st_open.st_ino, st_open.st_dev) != (
+                    st_path.st_ino, st_path.st_dev,
+                ):
+                    continue  # swapped by a replace; reopen
+                lock_wait = time.perf_counter() - t0
+                if st_open.st_size:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        data = b"\n" + data
+                fh.write(data)
+                fh.flush()
+                return lock_wait

@@ -171,7 +171,7 @@ class MCSimulator(Simulator):
     # multichannel engine as its own layer.
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one multichannel execution (see :meth:`Simulator.run`)."""
-        return self._run(seed)
+        return self._run(seed, self.protocol, self.adversary)
 
     def run_batch(
         self, seeds, *, make_protocol=None, make_adversary=None

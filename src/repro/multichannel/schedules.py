@@ -135,16 +135,6 @@ class ChannelJamPlan:
         )
 
     @staticmethod
-    def band_prefix(
-        length: int, n_channels: int, n_channels_jammed: int, n_jammed: int
-    ) -> "ChannelJamPlan":
-        """Jam the first ``n_jammed`` slots on a band of ``k`` channels."""
-        n_jammed = int(max(0, min(length, n_jammed)))
-        return ChannelJamPlan.band(
-            length, n_channels, n_channels_jammed, SlotSet.range(0, n_jammed)
-        )
-
-    @staticmethod
     def fraction(length: int, n_channels: int, eps: float) -> "ChannelJamPlan":
         """The Chen–Zheng ``(1 - eps)``-fraction schedule.
 

@@ -7,8 +7,8 @@ directory ``<root>/<run_id>/`` holding
   revision, host info, Python version, argv, plus whatever the caller
   records (root seed, experiment ids, RunConfig fingerprint);
 * ``events.jsonl`` — one JSON record per line, appended under an
-  exclusive lock (:mod:`repro.locking`) so forked executor workers can
-  write concurrently without interleaving.
+  exclusive lock (:func:`repro.locking.locked_append`) so forked
+  executor workers can write concurrently without interleaving.
 
 Records carry a monotonic offset ``t`` (seconds since activation — the
 base survives ``os.fork``, so worker timestamps are comparable to the
@@ -129,7 +129,7 @@ class TelemetrySink:
 
     def emit(self, record: dict) -> None:
         """Append one raw record (``t``/``pid`` added) as a locked write."""
-        from repro.locking import exclusive_lock
+        from repro.locking import locked_append
 
         record = dict(
             record, t=round(time.monotonic() - self._t0, 6), pid=os.getpid()
@@ -137,10 +137,7 @@ class TelemetrySink:
         data = (json.dumps(record, sort_keys=True, default=str) + "\n").encode(
             "utf-8"
         )
-        with open(self.events_path, "ab") as fh:
-            with exclusive_lock(fh, self.events_path):
-                fh.write(data)
-                fh.flush()
+        locked_append(self.events_path, data)
 
     # -- typed records ---------------------------------------------------
 

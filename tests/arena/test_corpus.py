@@ -63,6 +63,13 @@ def test_reload_tolerates_torn_tail_line(tmp_path, found):
     assert len(AttackCorpus(path)) == 1
 
 
+def test_add_after_torn_tail_line_survives_reload(tmp_path, found):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"schema": "' + ATTACK_SCHEMA + '", "trunc')
+    assert AttackCorpus(path).add(found)
+    assert AttackCorpus(path).records() == [found]
+
+
 def test_get_by_prefix(tmp_path, found):
     corpus = AttackCorpus(tmp_path / "corpus.jsonl")
     corpus.add(found)

@@ -78,6 +78,18 @@ class TestRoundTrip:
         store.put(KEY_B, make_result(2))
         assert dumps(store.get(KEY_B)) == dumps(make_result(2))
 
+    def test_put_after_torn_line_in_its_own_segment(self, tmp_path):
+        # A crashed writer left a fragment with no newline in the very
+        # segment the next put appends to: that record must still land
+        # on a line of its own.
+        store = CacheStore(tmp_path)
+        segment = store._segment(KEY_B)
+        segment.parent.mkdir(parents=True)
+        segment.write_bytes(b'{"key": "' + KEY_A.encode() + b'", "resu')
+        store.put(KEY_B, make_result(2))
+        assert dumps(store.get(KEY_B)) == dumps(make_result(2))
+        assert store.get(KEY_A) is None
+
     def test_path_collision_with_file_rejected(self, tmp_path):
         stray = tmp_path / "stray"
         stray.write_text("not a directory")

@@ -350,6 +350,16 @@ class TestBatchedDrivers:
         assert stats.batch_fill_rate == pytest.approx(10 / 12)
         assert "batched 10 trials in 3 tasks" in stats.summary()
 
+    def test_batch_one_runs_one_trial_groups(self):
+        config = RunConfig(batch=1)
+        replicate(mk_one_to_one, SilentAdversary, 5, seed=0, config=config)
+        stats = config.stats
+        assert stats.batch_tasks == stats.batch_trials == 5
+        assert stats.batch_capacity == 5
+        assert "batched 5 trials in 5 tasks (1.0/task, fill 100%)" in (
+            stats.summary()
+        )
+
     def test_stats_properties_zero_safe(self):
         stats = ExecutorStats()
         assert stats.trials_per_task == 0.0

@@ -13,10 +13,9 @@ import pytest
 from repro.adversaries import SilentAdversary
 from repro.arena.search import evolve, random_search
 from repro.arena.space import StrategySpace, protocol_factory
-from repro.cache import cached_run_tasks
-from repro.cache.store import CacheStore
 from repro.engine.simulator import run
 from repro.experiments import RunConfig, run_experiment
+from repro.experiments.runner import replicate
 from repro.protocols import OneToOneBroadcast, OneToOneParams
 from repro.telemetry import deactivate, read_events, session
 
@@ -63,23 +62,19 @@ class TestSimulatorSpans:
 
 
 class TestCacheTelemetry:
-    def _tasks(self, n):
-        keys = [f"{i:064x}" for i in range(n)]
-        tasks = [
-            lambda i=i: run(
-                OneToOneBroadcast(OneToOneParams.sim()),
-                SilentAdversary(), seed=i,
-            )
-            for i in range(n)
-        ]
-        return keys, tasks
+    def _replicate(self, tmp_path):
+        return replicate(
+            lambda: OneToOneBroadcast(OneToOneParams.sim()),
+            SilentAdversary,
+            3,
+            seed=0,
+            config=RunConfig(cache=True, cache_dir=tmp_path / "cache"),
+        )
 
     def test_miss_then_hit_counters_and_put_spans(self, tmp_path):
-        store = CacheStore(tmp_path / "cache")
-        keys, tasks = self._tasks(3)
         with session(tmp_path / "tele") as sink:
-            cached_run_tasks(tasks, keys, store=store)  # all misses
-            cached_run_tasks(tasks, keys, store=store)  # all hits
+            self._replicate(tmp_path)  # all misses
+            self._replicate(tmp_path)  # all hits
         events = read_events(sink.run_dir)
         counters = {}
         for e in events:

@@ -84,6 +84,12 @@ class TestSinkRecords:
         offsets = [e["t"] for e in read_events(tmp_path / "run")]
         assert offsets == sorted(offsets)
 
+    def test_emit_after_torn_tail_is_kept(self, tmp_path):
+        sink = TelemetrySink(tmp_path / "run")
+        sink.events_path.write_bytes(b'{"ev": "span", "name": "cut')
+        sink.event("after")
+        assert [e["name"] for e in read_events(tmp_path / "run")] == ["after"]
+
     def test_append_without_fcntl(self, tmp_path, monkeypatch):
         import repro.locking as locking
 

@@ -258,18 +258,18 @@ class TestRealSlotCapSemantics:
         # semantics the first phase runs (0 + L0 <= L0) and the second
         # (doubled) phase truncates; under virtual-slot semantics
         # C * L0 > L0 would truncate immediately with zero phases.
-        for runner in ("run", "run_batch"):
-            sim = MCSimulator(
+        # Two trials, so the batch goes through the lockstep loop (a
+        # one-trial batch plays the scalar loop of ``run``).
+        serial = MCSimulator(
+            mk_cz(), mk_a(), C, max_slots=L0, keep_history=True
+        ).run(3)
+        batch = list(
+            MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, keep_history=True
-            )
-            if runner == "run":
-                r = sim.run(3)
-            else:
-                r = list(
-                    sim.run_batch(
-                        [3], make_protocol=mk_cz, make_adversary=mk_a
-                    )
-                )[0]
+            ).run_batch([3, 4], make_protocol=mk_cz, make_adversary=mk_a)
+        )
+        assert len(batch) == 2
+        for r in [serial, *batch]:
             assert r.truncated
             assert r.phases == 1
             assert r.slots == L0  # real slots
@@ -281,10 +281,11 @@ class TestRealSlotCapSemantics:
         mk_a = lambda: ChannelBandJammer(0)  # noqa: E731
         with pytest.raises(BudgetExceededError) as serial_exc:
             MCSimulator(mk_cz(), mk_a(), C, max_slots=L0, strict=True).run(3)
+        # Two trials: the lockstep loop, not the scalar one-trial path.
         with pytest.raises(BudgetExceededError) as batch_exc:
             MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, strict=True
-            ).run_batch([3], make_protocol=mk_cz, make_adversary=mk_a)
+            ).run_batch([3, 3], make_protocol=mk_cz, make_adversary=mk_a)
         assert str(serial_exc.value) == str(batch_exc.value)
 
 
@@ -474,8 +475,8 @@ class TestMCReplicateBatchCache:
         assert config2.stats.batch_tasks == 0
 
     def test_serial_warm_batched_resume_cross_driver(self, tmp_path):
-        # Entries cached under the serial per-trial path must satisfy a
-        # batched resume byte-for-byte and vice versa.
+        # Entries cached by one-trial groups (batch 1) must satisfy a
+        # batch-2 resume byte-for-byte.
         cfg_serial = RunConfig(cache=True, cache_dir=tmp_path, experiment="TMX")
         first = self._replicate(5, cfg_serial)
         cfg_batch = RunConfig(
