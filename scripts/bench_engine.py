@@ -19,9 +19,9 @@ kernel comparison.  ``--batch`` instead times ``Simulator.run_batch``
 against serial ``run`` loops on replicate-shaped workloads and merges a
 ``batch_vs_serial`` section into ``BENCH_engine.json``.  ``--profile``
 breaks a batched E1-style replicate down by engine stage (protocol /
-sampling / adversary / resolve / accounting, with the residual loop
-overhead) and merges a ``batch_profile`` section; ``--quick`` shrinks it
-to a smoke run for CI.
+sampling / adversary / resolve / accounting, read from the telemetry
+spans, with the residual loop overhead) and merges a ``batch_profile``
+section; ``--quick`` shrinks it to a smoke run for CI.
 """
 
 from __future__ import annotations
@@ -205,15 +205,17 @@ def bench_batch(repeats: int = 3) -> int:
 def bench_profile(quick: bool = False, write: bool | None = None) -> int:
     """Stage-breakdown of the batched E1-style replicate.
 
-    Runs the workload once serially and once batched with the engine's
-    ``profile=`` wall clocks on, and reports each stage's share of the
-    wall time (protocol / sampling / adversary / resolve / accounting)
-    plus the residual driver loop overhead (``wall - sum(stages)``).
-    ``quick`` shrinks the trial count for a CI smoke run and skips
-    writing ``BENCH_engine.json``.
+    Runs the workload once serially and once batched, each under a
+    telemetry session, sums the ``stages`` split of the engine's
+    ``sim.run`` / ``sim.run_batch`` spans, and reports each stage's
+    share of the wall time (protocol / sampling / adversary / resolve /
+    accounting) plus the residual loop overhead
+    (``wall - sum(stages)``).  ``quick`` shrinks the trial count for a
+    CI smoke run and skips writing ``BENCH_engine.json``.
     """
     workloads = _batch_workloads()
     from repro.engine.simulator import Simulator
+    from repro.telemetry import read_events, session
 
     mk_p, mk_a, n_trials, batch_size = workloads["e1_style_one_to_one"]
     if quick:
@@ -225,19 +227,23 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
 
     section = {"n_trials": n_trials, "batch_size": batch_size}
     for mode in ("serial", "batch"):
-        prof: dict[str, float] = {}
-        t0 = time.perf_counter()
-        if mode == "serial":
-            for s in seeds:
-                Simulator(mk_p(), mk_a(), profile=prof).run(s)
-        else:
-            for i in range(0, n_trials, batch_size):
-                Simulator(mk_p(), mk_a(), profile=prof).run_batch(
-                    seeds[i : i + batch_size],
-                    make_protocol=mk_p,
-                    make_adversary=mk_a,
-                )
-        wall = time.perf_counter() - t0
+        with tempfile.TemporaryDirectory() as tmp, session(tmp) as sink:
+            t0 = time.perf_counter()
+            if mode == "serial":
+                for s in seeds:
+                    Simulator(mk_p(), mk_a()).run(s)
+            else:
+                for i in range(0, n_trials, batch_size):
+                    Simulator(mk_p(), mk_a()).run_batch(
+                        seeds[i : i + batch_size],
+                        make_protocol=mk_p,
+                        make_adversary=mk_a,
+                    )
+            wall = time.perf_counter() - t0
+            prof: dict[str, float] = {}
+            for event in read_events(sink.run_dir):
+                for k, v in event["attrs"].get("stages", {}).items():
+                    prof[k] = prof.get(k, 0.0) + v
         prof["loop_overhead"] = wall - sum(prof.values())
         section[mode] = {
             "wall_s": wall,

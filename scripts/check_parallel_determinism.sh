@@ -25,8 +25,9 @@
 # 6c. Same gate on E8 (n up to 64 broadcast, includes the n=16 point):
 #    the batched *protocol* layer (next_phase_batch/observe_batch in
 #    Simulator's shared lockstep run_batch loop) must leave multi-node
-#    broadcast reports byte-identical too, and the bench's --profile
-#    smoke run must succeed.
+#    broadcast reports byte-identical too.  The bench's --profile smoke
+#    run, which reads the engine's stage split from its telemetry
+#    spans, must print all five stages plus the loop overhead.
 # 7. Runs the `arena`-marked pytest suite (genome search, corpus
 #    replay, tournaments).
 # 8. Runs a fixed-seed arena search through the real CLI serially and
@@ -44,13 +45,15 @@
 #    instrumentation coverage).
 # 10. Runs E1 with and without --telemetry and requires the two saved
 #    reports to be byte-identical (telemetry is write-only
-#    observability), plus `telemetry summarize` to render the run.
-#    The same pair at --batch 8 gates the lockstep loop: its summary
-#    must list a sim.run_batch span.  Same for E15, whose runs are all
-#    on MCSimulator: its summary must list a sim.run span, which only
-#    the shared phase loop emits.
+#    observability), plus `telemetry summarize` to render the run with
+#    a stages table holding a `resolve` row for sim.run.  The same pair
+#    at --batch 8 gates the lockstep loop: its summary must list a
+#    sim.run_batch span and a `resolve` row for it.  Same for E15,
+#    whose runs are all on MCSimulator: its summary must list a sim.run
+#    span, which only the shared phase loop emits.
 # 11. Runs the `service`-marked pytest suite (job dedupe, HTTP
-#    server/client end-to-end).
+#    server/client end-to-end, a client leaving an event stream, a
+#    server SIGKILLed mid-job and restarted over the same cache).
 # 12. Service smoke gate: starts `repro-bcast serve` in the
 #    background, submits the E1 sweep from step 6 through the real
 #    client, and requires (a) the returned report to be byte-identical
@@ -147,8 +150,15 @@ fi
 echo "OK: E8 report byte-identical serial vs --batch 8"
 
 echo "== bench profile smoke run (bench_engine.py --profile --quick) =="
-python scripts/bench_engine.py --profile --quick
-echo "OK: profile mode runs"
+python scripts/bench_engine.py --profile --quick > "$tmp/profile.out"
+cat "$tmp/profile.out"
+for stage in protocol sampling adversary resolve accounting loop_overhead; do
+    if [ "$(grep -c "$stage [0-9]*%" "$tmp/profile.out")" -ne 2 ]; then
+        echo "FAIL: profile smoke run is missing the $stage stage" >&2
+        exit 1
+    fi
+done
+echo "OK: profile mode reads all five stages (and loop overhead) from telemetry"
 
 echo "== arena suite (pytest -m arena) =="
 python -m pytest -q -m arena "$@"
@@ -227,7 +237,12 @@ if ! grep -q "executor.task" "$tmp/tele-summary.out"; then
     cat "$tmp/tele-summary.out" >&2
     exit 1
 fi
-echo "OK: E1 report byte-identical with --telemetry; summarize renders spans"
+if ! grep -Eq "^ *sim\.run +resolve " "$tmp/tele-summary.out"; then
+    echo "FAIL: telemetry summary has no stages row for sim.run resolve" >&2
+    cat "$tmp/tele-summary.out" >&2
+    exit 1
+fi
+echo "OK: E1 report byte-identical with --telemetry; summarize renders spans and stages"
 
 echo "== CLI byte-identity: run E1 --batch 8 with vs without --telemetry =="
 python -m repro.cli run E1 --seed 11 --batch 8 --save "$tmp/tele-b8-off" \
@@ -248,7 +263,12 @@ if ! grep -q "sim\.run_batch" "$tmp/tele-b8-summary.out"; then
     cat "$tmp/tele-b8-summary.out" >&2
     exit 1
 fi
-echo "OK: E1 --batch 8 report byte-identical with --telemetry; sim.run_batch spans"
+if ! grep -Eq "^ *sim\.run_batch +resolve " "$tmp/tele-b8-summary.out"; then
+    echo "FAIL: --batch 8 telemetry summary has no stages row for sim.run_batch resolve" >&2
+    cat "$tmp/tele-b8-summary.out" >&2
+    exit 1
+fi
+echo "OK: E1 --batch 8 report byte-identical with --telemetry; sim.run_batch spans and stages"
 
 echo "== CLI byte-identity: run E15 (multichannel) with vs without --telemetry =="
 python -m repro.cli run E15 --seed 11 --save "$tmp/e15-tele-off" > /dev/null

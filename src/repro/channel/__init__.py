@@ -24,7 +24,7 @@ from repro.channel.events import (
     SlotStatus,
     TxKind,
 )
-from repro.channel.model import get_resolver, resolve_phase
+from repro.channel.model import resolve_phase
 from repro.channel.model_dense import resolve_phase_dense
 from repro.channel.accounting import EnergyLedger, PhaseCost
 
@@ -38,7 +38,6 @@ __all__ = [
     "SlotSet",
     "SlotStatus",
     "TxKind",
-    "get_resolver",
     "resolve_phase",
     "resolve_phase_dense",
 ]

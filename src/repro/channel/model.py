@@ -61,7 +61,6 @@ __all__ = [
     "resolve_phase_dense",
     "slot_content",
     "slot_content_at",
-    "get_resolver",
     "resolve_resolver_name",
     "RESOLVER_ENV",
 ]
@@ -643,16 +642,3 @@ def resolve_resolver_name(resolver: str | None = None) -> str:
             )
         return env
     return "sparse"
-
-
-def get_resolver(resolver: str | None = None):
-    """Select the phase resolver.
-
-    ``resolver="sparse"`` (the default) returns the O(events) kernel,
-    ``resolver="dense"`` the O(L) oracle.  With no argument the
-    :data:`RESOLVER_ENV` environment variable decides, so a whole
-    process tree — executor workers inherit the environment — can be
-    pinned to the oracle without code changes.
-    """
-    name = resolve_resolver_name(resolver)
-    return resolve_phase_dense if name == "dense" else resolve_phase

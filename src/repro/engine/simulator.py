@@ -49,6 +49,15 @@ __all__ = [
     "run_batch",
 ]
 
+_STAGES = ("protocol", "sampling", "adversary", "resolve", "accounting")
+
+
+def _clock(stages: dict, stage: str, since: float) -> float:
+    """Charge ``now - since`` to ``stages[stage]``; returns ``now``."""
+    now = time.perf_counter()
+    stages[stage] += now - since
+    return now
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -171,7 +180,7 @@ class SingleChannel:
       ``None``.  A medium that names one also provides
       ``hop(sends, listens, length, rng)``, which places one trial's
       real-slot events on the resolver's slot axis; the loops charge it
-      to the ``sampling`` profile stage.  One channel needs neither.
+      to the ``sampling`` stage.  One channel needs neither.
     * The adversary side: ``adversary_base`` (the strategy interface;
       the heterogeneous-batch fallback and the ``observe_outcome``
       override check key off it), :meth:`begin_run` and
@@ -226,11 +235,10 @@ class Simulator:
         ``None`` defers to the ``REPRO_RESOLVER`` environment variable.
         Both produce bit-identical outcomes; the oracle exists for
         differential testing and byte-identity CI gates.
-    profile:
-        Optional dict accumulating per-stage wall seconds
-        (``protocol`` / ``sampling`` / ``adversary`` / ``resolve`` /
-        ``accounting`` keys) across runs; ``None`` (default) disables
-        the stage clocks entirely.
+
+    While a :mod:`repro.telemetry` sink is active, each run's ``sim.run``
+    (``sim.run_batch``) span times its phase loop and splits that time
+    over the loop's stage clocks, as its ``stages`` attr.
     """
 
     #: The medium the phase loops resolve on.
@@ -247,7 +255,6 @@ class Simulator:
         keep_history: bool = False,
         trace=None,
         resolver: str | None = None,
-        profile: dict | None = None,
     ) -> None:
         self.protocol = protocol
         self.adversary = adversary
@@ -260,14 +267,6 @@ class Simulator:
         self.resolve_phase = (
             resolve_phase_dense if self.resolver == "dense" else resolve_phase
         )
-        self.profile = profile
-
-    def _clock(self, stage: str, since: float) -> float:
-        """Charge ``now - since`` to a profile stage; returns ``now``."""
-        now = time.perf_counter()
-        prof = self.profile
-        prof[stage] = prof.get(stage, 0.0) + (now - since)
-        return now
 
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one execution and return its :class:`RunResult`."""
@@ -326,26 +325,24 @@ class Simulator:
         jam_groups = medium.jam_groups
 
         n_nodes = protocol.n_nodes
-        protocol.reset(protocol_rng)
-
         ledger = EnergyLedger(n_nodes, keep_history=self.keep_history)
         slots = 0
         phases = 0
         truncated = False
         n_groups_seen = 1
-        # Telemetry: aggregate per-phase resolve timing into one span
+        # Telemetry: aggregate the per-phase stage clocks into one span
         # per run — a phase-granular log would dwarf the science output
-        # at 200k-phase scale.  ``sink is None`` is the entire disabled
-        # overhead.
+        # at 200k-phase scale.  ``stages is None`` is the entire
+        # disabled overhead of each clock site.
         sink = get_sink()
-        prof = self.profile
-        resolve_time = 0.0
+        stages = dict.fromkeys(_STAGES, 0.0) if sink is not None else None
         n_events = 0
 
-        t_stage = time.perf_counter() if prof is not None else 0.0
+        t_start = t_stage = time.perf_counter() if stages is not None else 0.0
+        protocol.reset(protocol_rng)
         spec = protocol.next_phase()
-        if prof is not None:
-            t_stage = self._clock("protocol", t_stage)
+        if stages is not None:
+            t_stage = _clock(stages, "protocol", t_stage)
         if spec is not None and spec.groups is not None:
             n_groups_seen = int(spec.groups.max()) + 1
         medium.begin_run(adversary, n_nodes, n_groups_seen, adversary_rng)
@@ -364,7 +361,7 @@ class Simulator:
                 truncated = True
                 break
 
-            if prof is not None:
+            if stages is not None:
                 t_stage = time.perf_counter()
             sends, listens = sample_action_events(
                 protocol_rng,
@@ -375,28 +372,24 @@ class Simulator:
             )
             if hop_rng is not None:
                 sends, listens = medium.hop(sends, listens, spec.length, hop_rng)
-            if prof is not None:
-                t_stage = self._clock("sampling", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "sampling", t_stage)
             ctx = medium.context(
                 phases, spec.length, n_nodes, n_groups_seen, dict(spec.tags),
                 sends, listens, spec.send_probs, spec.listen_probs,
                 ledger.adversary_cost,
             )
             plan = adversary.plan_phase(ctx)
-            if prof is not None:
-                t_stage = self._clock("adversary", t_stage)
-            if sink is not None:
-                t0 = time.perf_counter()
+            if stages is not None:
+                t_stage = _clock(stages, "adversary", t_stage)
             extent = C * spec.length
             groups = spec.groups if jam_groups else None
             outcome = self.resolve_phase(
                 extent, n_nodes, sends, listens, plan, groups=groups
             )
-            if sink is not None:
-                resolve_time += time.perf_counter() - t0
+            if stages is not None:
+                t_stage = _clock(stages, "resolve", t_stage)
                 n_events += len(sends) + len(listens)
-            if prof is not None:
-                t_stage = self._clock("resolve", t_stage)
             ledger.charge_phase(
                 extent,
                 outcome.send_cost + outcome.listen_cost,
@@ -413,8 +406,8 @@ class Simulator:
             slots += spec.length
             phases += 1
 
-            if prof is not None:
-                t_stage = self._clock("accounting", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "accounting", t_stage)
             protocol.observe(
                 PhaseObservation(
                     length=spec.length,
@@ -426,8 +419,8 @@ class Simulator:
             )
             adversary.observe_outcome(ctx, outcome)
             spec = protocol.next_phase()
-            if prof is not None:
-                t_stage = self._clock("protocol", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "protocol", t_stage)
 
         if spec is None and not protocol.done:
             raise ProtocolError("protocol returned no phase but reports not done")
@@ -435,9 +428,10 @@ class Simulator:
         ledger.check_conservation()
         if sink is not None:
             sink.span_event(
-                "sim.run", resolve_time,
+                "sim.run", time.perf_counter() - t_start,
                 phases=phases, slots=slots, events=n_events,
                 events_per_slot=round(n_events / slots, 6) if slots else 0.0,
+                stages=stages,
             )
         return RunResult(
             node_costs=ledger.node_costs,
@@ -520,15 +514,14 @@ class Simulator:
         phases = np.zeros(B, dtype=np.int64)
         truncated = np.zeros(B, dtype=bool)
         sink = get_sink()
-        prof = self.profile
-        resolve_time = 0.0
+        stages = dict.fromkeys(_STAGES, 0.0) if sink is not None else None
         n_events = 0
 
-        t_stage = time.perf_counter() if prof is not None else 0.0
+        t_start = t_stage = time.perf_counter() if stages is not None else 0.0
         protocol.reset_batch(protocol_rngs)
         spec = protocol.next_phase_batch(np.ones(B, dtype=bool))
-        if prof is not None:
-            t_stage = self._clock("protocol", t_stage)
+        if stages is not None:
+            t_stage = _clock(stages, "protocol", t_stage)
 
         shared_groups = (
             int(spec.groups.max()) + 1
@@ -569,7 +562,7 @@ class Simulator:
                 break
             idx = np.flatnonzero(runnable)
 
-            if prof is not None:
+            if stages is not None:
                 t_stage = time.perf_counter()
             full = len(idx) == B
             lengths = spec.lengths if full else spec.lengths[idx]
@@ -586,8 +579,8 @@ class Simulator:
                     medium.hop(sends, listens, int(spec.lengths[t]), hop_rngs[t])
                     for (sends, listens), t in zip(events, idx)
                 ]
-            if prof is not None:
-                t_stage = self._clock("sampling", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "sampling", t_stage)
 
             adv_spent = ledger.adversary_costs
             ctxs = [
@@ -610,10 +603,8 @@ class Simulator:
                         f"JamPlan length {plan.length} does not match "
                         f"phase length {extent}"
                     )
-            if prof is not None:
-                t_stage = self._clock("adversary", t_stage)
-            if sink is not None:
-                t0 = time.perf_counter()
+            if stages is not None:
+                t_stage = _clock(stages, "adversary", t_stage)
             groups = spec.groups if medium.jam_groups else None
             if self.resolver == "dense":
                 core = BatchPhaseOutcome.from_outcomes([
@@ -634,11 +625,9 @@ class Simulator:
                     [groups] * len(idx),
                     validate=False,
                 )
-            if sink is not None:
-                resolve_time += time.perf_counter() - t0
+            if stages is not None:
+                t_stage = _clock(stages, "resolve", t_stage)
                 n_events += sum(len(ev[0]) + len(ev[1]) for ev in events)
-            if prof is not None:
-                t_stage = self._clock("resolve", t_stage)
 
             # Scatter the step rows back onto the full batch axis: one
             # stacked observation replaces B PhaseObservation objects.
@@ -663,8 +652,8 @@ class Simulator:
             )
             slots[runnable] += spec.lengths[runnable]
             phases[runnable] += 1
-            if prof is not None:
-                t_stage = self._clock("accounting", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "accounting", t_stage)
 
             protocol.observe_batch(
                 BatchPhaseObservation(
@@ -680,8 +669,8 @@ class Simulator:
                 for i, t in enumerate(idx):
                     adversaries[t].observe_outcome(ctxs[i], core.outcome_for(i))
             spec = protocol.next_phase_batch(runnable)
-            if prof is not None:
-                t_stage = self._clock("protocol", t_stage)
+            if stages is not None:
+                t_stage = _clock(stages, "protocol", t_stage)
 
         bad = ~protocol.done_batch() & ~truncated
         if bad.any():
@@ -707,12 +696,13 @@ class Simulator:
         if sink is not None:
             total_slots = int(slots.sum())
             sink.span_event(
-                "sim.run_batch", resolve_time,
+                "sim.run_batch", time.perf_counter() - t_start,
                 trials=B, phases=int(phases.sum()), slots=total_slots,
                 events=n_events,
                 events_per_slot=(
                     round(n_events / total_slots, 6) if total_slots else 0.0
                 ),
+                stages=stages,
             )
         return BatchResult(results=tuple(results), seeds=tuple(seeds))
 

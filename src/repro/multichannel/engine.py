@@ -127,9 +127,9 @@ class MCSimulator(Simulator):
     """Run any protocol on a ``C``-channel medium.
 
     The :class:`~repro.engine.simulator.Simulator` engine — its two
-    phase loops, caps, ``strict``, telemetry spans, ``profile=`` stages,
-    ``trace=`` recording and ``observe_outcome`` feedback — resolving on
-    :class:`HoppingChannels`.
+    phase loops, caps, ``strict``, telemetry spans with their stage
+    clocks, ``trace=`` recording and ``observe_outcome`` feedback —
+    resolving on :class:`HoppingChannels`.
 
     Parameters
     ----------

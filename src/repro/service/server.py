@@ -119,7 +119,9 @@ class ServiceServer:
                 if request is None:
                     return
                 method, path, query, body = request
-                close = await self._dispatch(writer, method, path, query, body)
+                close = await self._dispatch(
+                    reader, writer, method, path, query, body
+                )
                 if close:
                     return
         except (ConnectionError, asyncio.LimitOverrunError):
@@ -163,7 +165,7 @@ class ServiceServer:
         return method.upper(), split.path, query, body
 
     async def _dispatch(
-        self, writer, method: str, path: str, query: dict, body: bytes
+        self, reader, writer, method: str, path: str, query: dict, body: bytes
     ) -> bool:
         """Route one request; returns True when the connection is done."""
         try:
@@ -192,7 +194,7 @@ class ServiceServer:
                 len(rest) == 3 and rest[0] == "jobs" and rest[2] == "events"
                 and method == "GET"
             ):
-                await self._stream_events(writer, rest[1])
+                await self._stream_events(reader, writer, rest[1])
                 return True  # stream ends the connection
             elif rest[:1] in (["jobs"], ["health"]):
                 raise _HttpError(405, f"{method} not allowed on {path}")
@@ -275,13 +277,14 @@ class ServiceServer:
             writer, 200, record.result_bytes, "application/json"
         )
 
-    async def _stream_events(self, writer, job_id: str) -> None:
+    async def _stream_events(self, reader, writer, job_id: str) -> None:
         """Chunked NDJSON: job-state lines + the job's telemetry events.
 
         Emits a ``{"ev": "job", ...}`` record on every state change and
         relays committed telemetry events (via the same incremental
         reader as ``telemetry tail --follow``) as they land.  Ends with
-        the final job record once the job is done and the log is dry.
+        the final job record once the job is done and the log is dry,
+        or at the first idle poll that finds the client gone.
         """
         record = self._record(job_id)
         await self._start_chunked(writer, "application/x-ndjson")
@@ -308,6 +311,8 @@ class ServiceServer:
                 await self._end_chunked(writer)
                 return
             if not events:
+                if reader.at_eof():
+                    return
                 await asyncio.sleep(_EVENTS_POLL)
 
     # -- response plumbing ----------------------------------------------

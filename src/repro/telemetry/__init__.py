@@ -14,8 +14,8 @@ check when telemetry is off):
 * :mod:`repro.engine.executor` — per-task spans with
   attempt/timeout/crash outcome, batch spans, worker lifecycle events;
 * :mod:`repro.cache` — hit/miss/byte counters, per-append lock-wait;
-* :mod:`repro.engine.simulator` — per-run phase-resolve timing and
-  events-per-slot ratio;
+* :mod:`repro.engine.simulator` — per-run phase-loop time, its stage
+  split and events-per-slot ratio;
 * :mod:`repro.arena.search` — per-generation best-fitness gauges.
 
 Enable from the CLI with ``repro-bcast run E1 --telemetry`` (or

@@ -137,16 +137,20 @@ def summarize(run_dir: str | Path) -> str:
         name = e.get("name", "?")
         kind = e.get("ev")
         if kind == "span":
-            agg = spans.setdefault(
-                name, {"n": 0, "total": 0.0, "max": 0.0, "outcomes": {}}
-            )
+            agg = spans.setdefault(name, {
+                "n": 0, "total": 0.0, "max": 0.0, "outcomes": {}, "stages": {},
+            })
             dur = float(e.get("dur", 0.0))
             agg["n"] += 1
             agg["total"] += dur
             agg["max"] = max(agg["max"], dur)
-            outcome = (e.get("attrs") or {}).get("outcome")
+            attrs = e.get("attrs") or {}
+            outcome = attrs.get("outcome")
             if outcome is not None:
                 agg["outcomes"][outcome] = agg["outcomes"].get(outcome, 0) + 1
+            # Whatever stages a span splits its time over become rows.
+            for stage, secs in (attrs.get("stages") or {}).items():
+                agg["stages"][stage] = agg["stages"].get(stage, 0.0) + secs
         elif kind == "counter":
             counters[name] = counters.get(name, 0) + float(e.get("value", 0))
         elif kind == "gauge":
@@ -168,6 +172,15 @@ def summarize(run_dir: str | Path) -> str:
                 round(1000 * agg["total"] / agg["n"], 3),
                 round(1000 * agg["max"], 3), outcomes,
             )
+        lines.append(table.render())
+        lines.append("")
+    if any(agg["stages"] for agg in spans.values()):
+        table = Table("stages", ["span", "stage", "total_s", "share"])
+        for name in sorted(spans):
+            agg = spans[name]
+            for stage, secs in sorted(agg["stages"].items()):
+                share = f"{secs / agg['total']:.1%}" if agg["total"] else "-"
+                table.add_row(name, stage, _fmt_seconds(secs), share)
         lines.append(table.render())
         lines.append("")
     if counters:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adversaries import SilentAdversary
 from repro.channel.events import (
     JamPlan,
     ListenEvents,
@@ -25,13 +26,15 @@ from repro.channel.events import (
     TxKind,
 )
 from repro.channel.model import (
-    get_resolver,
     resolve_phase,
+    resolve_resolver_name,
     slot_content,
     slot_content_at,
 )
 from repro.channel.model_dense import resolve_phase_dense
+from repro.engine.simulator import Simulator
 from repro.errors import ConfigurationError
+from repro.protocols import OneToOneBroadcast
 
 pytestmark = pytest.mark.engine
 
@@ -205,28 +208,43 @@ class TestHalfDuplexPinned:
 
 
 class TestGetResolver:
+    """Which resolver a simulator gets: an explicit name, then
+    ``REPRO_RESOLVER``, then the sparse kernel."""
+
+    @staticmethod
+    def get_resolver(resolver=None):
+        return Simulator(
+            OneToOneBroadcast(), SilentAdversary(), resolver=resolver
+        ).resolve_phase
+
     def test_explicit_name(self, monkeypatch):
         monkeypatch.delenv("REPRO_RESOLVER", raising=False)
-        assert get_resolver("dense") is resolve_phase_dense
-        assert get_resolver("sparse") is resolve_phase
-        assert get_resolver() is resolve_phase
+        assert resolve_resolver_name("dense") == "dense"
+        assert self.get_resolver("dense") is resolve_phase_dense
+        assert self.get_resolver("sparse") is resolve_phase
+        assert self.get_resolver() is resolve_phase
 
     def test_bad_name_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESOLVER", "turbo")
         with pytest.raises(ConfigurationError):
-            get_resolver()
+            resolve_resolver_name()
+        with pytest.raises(ConfigurationError):
+            self.get_resolver()
         monkeypatch.delenv("REPRO_RESOLVER")
         with pytest.raises(ConfigurationError):
-            get_resolver("turbo")
+            resolve_resolver_name("turbo")
+        with pytest.raises(ConfigurationError):
+            self.get_resolver("turbo")
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESOLVER", "dense")
-        assert get_resolver() is resolve_phase_dense
+        assert self.get_resolver() is resolve_phase_dense
         monkeypatch.setenv("REPRO_RESOLVER", "sparse")
-        assert get_resolver() is resolve_phase
+        assert self.get_resolver() is resolve_phase
         # An explicit argument beats the environment.
         monkeypatch.setenv("REPRO_RESOLVER", "dense")
-        assert get_resolver("sparse") is resolve_phase
+        assert resolve_resolver_name("sparse") == "sparse"
+        assert self.get_resolver("sparse") is resolve_phase
 
 
 def test_simulator_resolver_bit_identical():

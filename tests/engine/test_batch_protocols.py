@@ -55,6 +55,7 @@ from repro.protocols import (
     Protocol,
 )
 from repro.store import run_result_to_dict
+from repro.telemetry import read_events, session
 
 pytestmark = pytest.mark.engine
 
@@ -375,34 +376,49 @@ class TestSerialCloneFallback:
 
 
 class TestProfileHooks:
-    def test_batch_profile_accumulates_stages(self):
-        prof: dict = {}
-        sim = Simulator(
-            OneToOneBroadcast(P11), SuffixJammer(0.5), profile=prof
-        )
-        sim.run_batch([0, 1, 2])
-        for stage in ("protocol", "sampling", "adversary", "resolve", "accounting"):
-            assert stage in prof and prof[stage] >= 0.0
+    """The phase loops' stage clocks ride their telemetry spans."""
 
-    def test_serial_profile_accumulates_stages(self):
-        prof: dict = {}
-        sim = Simulator(
-            OneToOneBroadcast(P11), SuffixJammer(0.5), profile=prof
-        )
-        sim.run(0)
-        for stage in ("protocol", "sampling", "adversary", "resolve", "accounting"):
-            assert stage in prof and prof[stage] >= 0.0
+    STAGES = {"protocol", "sampling", "adversary", "resolve", "accounting"}
+    PLAYS = {
+        "run": lambda sim: [sim.run(0)],
+        "one-trial run_batch": lambda sim: list(sim.run_batch([0])),
+        "run_batch": lambda sim: list(sim.run_batch([0, 1, 2])),
+    }
 
-    def test_profile_does_not_perturb_results(self):
-        prof: dict = {}
-        with_prof = Simulator(
-            OneToOneBroadcast(P11), SuffixJammer(0.5), profile=prof
-        ).run_batch([0, 1])
-        without = Simulator(
-            OneToOneBroadcast(P11), SuffixJammer(0.5)
-        ).run_batch([0, 1])
-        for got, want in zip(with_prof, without):
-            assert result_json(got) == result_json(want)
+    @staticmethod
+    def sim():
+        return Simulator(OneToOneBroadcast(P11), SuffixJammer(0.5))
+
+    def traced(self, tmp_path, play):
+        """Play under a session; returns (results, the sim.* span)."""
+        with session(tmp_path) as sink:
+            results = play(self.sim())
+        (span,) = [
+            e for e in read_events(sink.run_dir) if e["name"].startswith("sim.")
+        ]
+        stages = span["attrs"]["stages"]
+        assert set(stages) == self.STAGES
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= span["dur"]
+        return results, span
+
+    def test_batch_profile_accumulates_stages(self, tmp_path):
+        _, span = self.traced(tmp_path, self.PLAYS["run_batch"])
+        assert span["name"] == "sim.run_batch"
+        assert span["attrs"]["trials"] == 3
+        _, span = self.traced(tmp_path, self.PLAYS["one-trial run_batch"])
+        assert span["name"] == "sim.run"
+
+    def test_serial_profile_accumulates_stages(self, tmp_path):
+        _, span = self.traced(tmp_path, self.PLAYS["run"])
+        assert span["name"] == "sim.run"
+
+    def test_profile_does_not_perturb_results(self, tmp_path):
+        for play in self.PLAYS.values():
+            traced, _ = self.traced(tmp_path, play)
+            assert [result_json(r) for r in traced] == [
+                result_json(r) for r in play(self.sim())
+            ]
 
 
 class TestTruncationUnderBatchDriver:

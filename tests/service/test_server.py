@@ -12,24 +12,27 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import subprocess
+import sys
 import threading
+import time
+from contextlib import contextmanager
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.experiments.registry import RunConfig, run_experiment
-from repro.service import JobManager, ServiceClient, ServiceServer
+from repro.service import JobManager, JobSpec, ServiceClient, ServiceServer
+from repro.service import jobs
 from repro.store import report_to_bytes
 
 pytestmark = pytest.mark.service
 
 
-@pytest.fixture
-def service(tmp_path):
-    """A live server+manager on an ephemeral port; yields its URL."""
-    manager = JobManager(
-        cache_dir=tmp_path / "cache", telemetry_root=tmp_path / "tel"
-    )
+@contextmanager
+def _serving(manager):
+    """A live server for ``manager`` on an ephemeral port, run by a
+    thread; yields ``(url, loop)`` and closes the manager on exit."""
     holder: dict = {}
     ready = threading.Event()
 
@@ -51,13 +54,23 @@ def service(tmp_path):
     thread.start()
     assert ready.wait(10), "server did not come up"
     try:
-        yield holder["server"].url, manager
+        yield holder["server"].url, holder["loop"]
     finally:
         loop = holder["loop"]
         for task in asyncio.all_tasks(loop):
             loop.call_soon_threadsafe(task.cancel)
         thread.join(timeout=10)
         manager.close()
+
+
+@pytest.fixture
+def service(tmp_path):
+    """A live server+manager on an ephemeral port; yields its URL."""
+    manager = JobManager(
+        cache_dir=tmp_path / "cache", telemetry_root=tmp_path / "tel"
+    )
+    with _serving(manager) as (url, _):
+        yield url, manager
 
 
 class TestEndToEnd:
@@ -242,3 +255,102 @@ class TestRequestParseErrors:
         )
         assert status == 400
         assert "Content-Length" in body["error"]
+
+
+def _open_handlers(loop) -> int:
+    """Connection handlers still running on the server's event loop."""
+
+    async def count():
+        return sum(
+            task.get_coro().__qualname__ == "ServiceServer._handle_connection"
+            for task in asyncio.all_tasks()
+        )
+
+    return asyncio.run_coroutine_threadsafe(count(), loop).result(10)
+
+
+class TestAbandonedStream:
+    def test_leaving_an_idle_stream_ends_its_handler(self, tmp_path, monkeypatch):
+        """Without job telemetry the stream writes nothing between job
+        state changes, so no failed write tells the server its client
+        left; the handler must notice the closed read side itself."""
+        release = threading.Event()
+
+        def blocked_run(eid, config):
+            release.wait(60)
+            raise RuntimeError("released by the test")
+
+        monkeypatch.setattr(jobs, "run_experiment", blocked_run)
+        manager = JobManager(cache_dir=tmp_path / "cache", telemetry_root=None)
+        with _serving(manager) as (url, loop):
+            try:
+                record = manager.submit(JobSpec("E6"))
+                client = ServiceClient(url)
+                with socket.create_connection(
+                    (client.host, client.port), timeout=30
+                ) as sock:
+                    sock.sendall(
+                        f"GET /v1/jobs/{record.job_id}/events HTTP/1.1\r\n\r\n"
+                        .encode("latin-1")
+                    )
+                    assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                deadline = time.monotonic() + 5
+                while _open_handlers(loop) and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert _open_handlers(loop) == 0
+                assert not record.done.is_set()  # the job is still running
+            finally:
+                release.set()
+
+
+@contextmanager
+def _serve_process(cache_dir):
+    """``repro-bcast serve`` as a child process with one serial job
+    runner and no telemetry; yields ``(process, url)``, kills it on exit."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+         "--jobs", "1", "--no-telemetry", "--cache-dir", str(cache_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+    ) as proc:
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving on "), line
+            yield proc, line.split()[-1]
+        finally:
+            proc.kill()
+
+
+def _cache_records(cache_dir) -> int:
+    return sum(p.read_bytes().count(b"\n") for p in cache_dir.rglob("*.jsonl"))
+
+
+class TestServerKilledMidJob:
+    def test_restart_over_the_same_cache_resumes(self, tmp_path):
+        """SIGKILL the server once the job's first cache record lands;
+        a new server over the same directory serves the finished cells
+        from disk, runs the rest and returns the cold run's bytes."""
+        cache = tmp_path / "cache"
+        with _serve_process(cache) as (proc, url):
+            with ServiceClient(url) as client:
+                client.submit("E2", seed=5)  # no wait: returns at once
+            deadline = time.monotonic() + 120
+            while not _cache_records(cache):
+                assert proc.poll() is None, "server exited on its own"
+                assert time.monotonic() < deadline, "no cache record landed"
+                time.sleep(0.01)
+            proc.kill()
+            proc.wait(30)
+        with _serve_process(cache) as (_, url):
+            with ServiceClient(url) as client:
+                job = client.submit("E2", seed=5, wait=True, timeout=300)
+                body = client.result(job["job_id"])
+
+        cold = RunConfig(seed=5, quick=True, cache=True, cache_dir=tmp_path / "cold")
+        assert body == report_to_bytes(run_experiment("E2", cold))
+        stats = job["stats"]
+        assert stats["cache_hits"] >= 1  # cells finished before the kill
+        assert stats["cache_misses"] >= 1  # the kill landed mid-job
+        assert (
+            stats["cache_hits"] + stats["cache_misses"]
+            == cold.stats.cache_misses
+        )

@@ -66,6 +66,10 @@ class TestTelemetryCommand:
         assert "seed: 11" in out
         assert "executor.task" in out
         assert "sim.run" in out
+        assert any(  # the engine's stage split, as a stages-table row
+            line.split()[:2] == ["sim.run", "resolve"]
+            for line in out.splitlines()
+        )
         assert "experiment.run" in out
         assert "run.start" in out
 

@@ -96,6 +96,20 @@ class TestSummarize:
         assert "arena.best_index" in text
         assert "run.start" in text
 
+    def test_stages_table_lists_only_spans_with_stages(self, tmp_path):
+        sink = make_run(tmp_path, "r")
+        sink.span_event("sim.run", 0.5, stages={"resolve": 0.2, "sampling": 0.1})
+        sink.span_event("sim.run", 0.5, stages={"resolve": 0.1, "sampling": 0.1})
+        sink.span_event("executor.task", 0.2, outcome="ok")
+        text = summarize(sink.run_dir)
+        table = text.split("\nstages\n", 1)[1].split("\n\n", 1)[0]
+        rows = [line.split() for line in table.splitlines()[2:]]
+        # Totals per (span, stage), as a share of the span's summed dur.
+        assert rows == [
+            ["sim.run", "resolve", "0.300", "30.0%"],
+            ["sim.run", "sampling", "0.200", "20.0%"],
+        ]
+
     def test_empty_run(self, tmp_path):
         text = summarize(make_run(tmp_path, "r").run_dir)
         assert "(no events recorded)" in text

@@ -358,8 +358,8 @@ class EchoJammer(MCAdversary):
 
 
 class TestSharedLoopParity:
-    """The MC engine gets outcome feedback, ``profile=`` stages and
-    telemetry spans from the shared phase loops."""
+    """The MC engine gets outcome feedback and telemetry spans, with
+    their stage clocks, from the shared phase loops."""
 
     STAGES = {"protocol", "sampling", "adversary", "resolve", "accounting"}
 
@@ -385,24 +385,33 @@ class TestSharedLoopParity:
         # The feedback steered the plans: some phase jammed channels.
         assert any(r.adversary_cost > 0 for r in serial)
 
-    @pytest.mark.parametrize("runner", ["run", "run_batch"])
-    def test_profile_stages(self, runner):
-        prof: dict = {}
-        sim = MCSimulator(
-            mk_cz(), FractionJammer(0.15, max_total=2000), C,
-            max_slots=100_000, profile=prof,
+    @pytest.mark.parametrize("runner", ["run", "one_trial_batch", "run_batch"])
+    def test_profile_stages(self, runner, tmp_path):
+        play = {
+            "run": lambda sim: [sim.run(5)],
+            "one_trial_batch": lambda sim: list(sim.run_batch([5])),
+            "run_batch": lambda sim: list(sim.run_batch([5, 6, 7])),
+        }[runner]
+
+        def mk_sim():
+            return MCSimulator(
+                mk_cz(), FractionJammer(0.15, max_total=2000), C,
+                max_slots=100_000,
+            )
+
+        with session(tmp_path) as sink:
+            got = play(mk_sim())
+        (span,) = [
+            e for e in read_events(sink.run_dir) if e["name"].startswith("sim.")
+        ]
+        assert span["name"] == (
+            "sim.run_batch" if runner == "run_batch" else "sim.run"
         )
-        plain = MCSimulator(
-            mk_cz(), FractionJammer(0.15, max_total=2000), C,
-            max_slots=100_000,
-        )
-        if runner == "run":
-            got, want = [sim.run(5)], [plain.run(5)]
-        else:
-            got, want = sim.run_batch([5, 6]), plain.run_batch([5, 6])
-        assert set(prof) == self.STAGES
-        assert all(v >= 0.0 for v in prof.values())
-        assert_identical(got, list(want))
+        stages = span["attrs"]["stages"]
+        assert set(stages) == self.STAGES
+        assert all(v >= 0.0 for v in stages.values())
+        assert sum(stages.values()) <= span["dur"]
+        assert_identical(got, play(mk_sim()))
 
     def test_telemetry_spans(self, tmp_path):
         mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
