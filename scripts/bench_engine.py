@@ -172,7 +172,6 @@ def bench_batch(repeats: int = 3) -> int:
                 batched.extend(
                     mk_sim().run_batch(
                         seeds[i : i + batch_size],
-                        make_protocol=mk_p,
                         make_adversary=mk_a,
                     )
                 )
@@ -236,7 +235,6 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
                 for i in range(0, n_trials, batch_size):
                     Simulator(mk_p(), mk_a()).run_batch(
                         seeds[i : i + batch_size],
-                        make_protocol=mk_p,
                         make_adversary=mk_a,
                     )
             wall = time.perf_counter() - t0

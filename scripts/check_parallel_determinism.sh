@@ -7,7 +7,9 @@
 # 2. Runs the `cache`-marked pytest suite (fingerprints, store,
 #    checkpoint/resume).
 # 3. Runs the `engine`-marked pytest suite (sparse/dense resolver
-#    differential oracle, half-duplex and ground-truth pins).
+#    differential oracle, half-duplex and ground-truth pins, and whole
+#    E1 and E18 reports byte-identical with the dense oracle patched
+#    into both phase loops, E1 at batch 1, at batch 8 and with -j 2).
 # 4. Runs one experiment through the real CLI serially and with -j 2,
 #    and requires the two saved reports to be byte-identical.
 # 5. Runs E1 through the CLI twice against the same cache directory and
@@ -15,12 +17,9 @@
 #    one, with every cell served from the cache.  A third run at
 #    --batch 8 over the same directory must match too, again with every
 #    cell a hit: batch 1 and batch 8 share one cache path.
-# 6. Runs E1 with the sparse resolver (default) and the dense oracle
-#    (REPRO_RESOLVER=dense) and requires the two saved reports to be
-#    byte-identical — the end-to-end differential gate for the
-#    O(events) kernel.
-# 6b. Runs E1 serially and with --batch 8 and requires the two saved
-#    reports to be byte-identical — the end-to-end gate for the
+# 6. Saves E1's serial report, the reference for steps 6b and 12.
+# 6b. Runs E1 with --batch 8 and requires its saved report to be
+#    byte-identical to the serial one — the end-to-end gate for the
 #    trial-batched kernel.
 # 6c. Same gate on E8 (n up to 64 broadcast, includes the n=16 point):
 #    the batched *protocol* layer (next_phase_batch/observe_batch in
@@ -121,17 +120,8 @@ if ! grep -q "(100%" "$tmp/warm-b8.out"; then
 fi
 echo "OK: E1 report byte-identical cold vs warm (batch 1 and 8), 100% cache hits"
 
-echo "== CLI byte-identity: sparse resolver vs dense oracle (run E1) =="
-python -m repro.cli run E1 --seed 11 --save "$tmp/sparse" > /dev/null
-REPRO_RESOLVER=dense python -m repro.cli run E1 --seed 11 \
-    --save "$tmp/dense" > /dev/null
-if ! cmp "$tmp/sparse/E1.json" "$tmp/dense/E1.json"; then
-    echo "FAIL: dense-oracle report differs from sparse report" >&2
-    exit 1
-fi
-echo "OK: E1 report byte-identical sparse vs dense oracle"
-
 echo "== CLI byte-identity: serial vs trial-batched (run E1 -B 8) =="
+python -m repro.cli run E1 --seed 11 --save "$tmp/sparse" > /dev/null
 python -m repro.cli run E1 --seed 11 --batch 8 --save "$tmp/batched" > /dev/null
 if ! cmp "$tmp/sparse/E1.json" "$tmp/batched/E1.json"; then
     echo "FAIL: batched report differs from serial report" >&2

@@ -14,7 +14,8 @@ The dense O(L) reference implementation is kept verbatim in
 :mod:`repro.channel.model_dense` as a differential oracle; the
 ``engine``-marked test suite asserts both resolvers return bit-identical
 :class:`~repro.channel.events.PhaseOutcome`\\ s on randomised phases,
-and the CI gate replays a full experiment under both.
+and replays whole experiments with the oracle patched into the phase
+loops.
 
 Semantics implemented (Section 1.2 of the paper):
 
@@ -32,7 +33,6 @@ Semantics implemented (Section 1.2 of the paper):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +51,6 @@ from repro.channel.model_dense import (
     slot_content,
     validate_phase_inputs,
 )
-from repro.errors import ConfigurationError
 
 __all__ = [
     "BatchPhaseOutcome",
@@ -60,16 +59,7 @@ __all__ = [
     "resolve_phase_batch_core",
     "resolve_phase_dense",
     "slot_content",
-    "slot_content_at",
-    "resolve_resolver_name",
-    "RESOLVER_ENV",
 ]
-
-#: Environment override for the default resolver: set to ``sparse`` or
-#: ``dense``.  The CI byte-identity gate uses ``REPRO_RESOLVER=dense``
-#: to replay a whole experiment — executor workers included, since they
-#: inherit the environment — through the O(L) oracle.
-RESOLVER_ENV = "REPRO_RESOLVER"
 
 
 def _tx_events(sends: SendEvents, plan: JamPlan) -> tuple[np.ndarray, np.ndarray]:
@@ -116,30 +106,6 @@ def _dense_buf(name: str, size: int, dtype) -> np.ndarray:
         buf = np.zeros(size, dtype=dtype)
         _dense_scratch[name] = buf
     return buf
-
-
-def slot_content_at(
-    slots: np.ndarray, sends: SendEvents, plan: JamPlan
-) -> np.ndarray:
-    """Un-jammed channel content at the queried ``slots`` only.
-
-    The sparse counterpart of :func:`slot_content`: evaluates the
-    collision outcome at ``len(slots)`` query points in
-    ``O((#tx + #queries) log #tx)`` instead of materialising a length-L
-    array.  Jamming is *not* applied — it is per-group and applied by
-    :func:`resolve_phase`.
-    """
-    slots = np.asarray(slots, dtype=np.int64)
-    tx_slots, tx_kinds = _tx_events(sends, plan)
-    if len(tx_slots) == 0:
-        return np.zeros(len(slots), dtype=np.int8)  # SlotStatus.CLEAR
-    uniq, statuses = _unique_tx_content(tx_slots, tx_kinds)
-    pos = np.searchsorted(uniq, slots)
-    safe = np.minimum(pos, len(uniq) - 1)
-    hit = uniq[safe] == slots
-    out = np.zeros(len(slots), dtype=np.int8)
-    out[hit] = statuses[safe[hit]]
-    return out
 
 
 def resolve_phase(
@@ -296,23 +262,6 @@ class BatchPhaseOutcome:
             n_clear=int(self.n_clear[t]),
             n_noise=int(self.n_noise[t]),
             data_slots=int(self.data_slots[t]),
-        )
-
-    @staticmethod
-    def from_outcomes(outcomes: "list[PhaseOutcome]") -> "BatchPhaseOutcome":
-        """Stack per-trial outcomes (the dense-resolver batch path)."""
-        return BatchPhaseOutcome(
-            heard=np.stack([o.heard for o in outcomes]),
-            send_cost=np.stack([o.send_cost for o in outcomes]),
-            listen_cost=np.stack([o.listen_cost for o in outcomes]),
-            adversary_costs=np.array(
-                [o.adversary_cost for o in outcomes], dtype=np.int64
-            ),
-            n_clear=np.array([o.n_clear for o in outcomes], dtype=np.int64),
-            n_noise=np.array([o.n_noise for o in outcomes], dtype=np.int64),
-            data_slots=np.array(
-                [o.data_slots for o in outcomes], dtype=np.int64
-            ),
         )
 
 
@@ -620,25 +569,3 @@ def resolve_phase_batch_core(
         n_noise=n_noise.astype(np.int64),
         data_slots=data_per_trial.astype(np.int64),
     )
-
-
-def resolve_resolver_name(resolver: str | None = None) -> str:
-    """Normalise the resolver spelling to ``"sparse"`` or ``"dense"``.
-
-    Precedence: an explicit ``resolver=`` string, then the
-    :data:`RESOLVER_ENV` environment variable, then ``"sparse"``.
-    """
-    if resolver is not None:
-        if resolver not in ("sparse", "dense"):
-            raise ConfigurationError(
-                f"resolver must be 'sparse' or 'dense', got {resolver!r}"
-            )
-        return resolver
-    env = os.environ.get(RESOLVER_ENV, "").strip().lower()
-    if env:
-        if env not in ("sparse", "dense"):
-            raise ConfigurationError(
-                f"{RESOLVER_ENV} must be 'sparse' or 'dense', got {env!r}"
-            )
-        return env
-    return "sparse"

@@ -11,11 +11,10 @@ independent oracle:
 * the differential test suite (``pytest -m engine``) asserts
   :func:`resolve_phase_dense` and the sparse resolver produce
   bit-identical :class:`~repro.channel.events.PhaseOutcome`\\ s on
-  randomised phases;
-* the engine can be pinned to it via ``Simulator(resolver="dense")`` or
-  the ``REPRO_RESOLVER=dense`` environment variable, which the CI gate
-  (``scripts/check_parallel_determinism.sh``) uses to prove a full
-  experiment report is byte-identical under either resolver.
+  randomised phases, and a test fixture patches it into both phase
+  loops to prove whole experiment reports byte-identical under either
+  resolver;
+* :func:`repro.trace.verify_trace` replays recorded phases through it.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ Examples
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
@@ -184,7 +185,6 @@ def run_tasks(
     jobs: int = 1,
     timeout: float | None = None,
     retries: int = 1,
-    chunk_size: int | None = None,
     stats: ExecutorStats | None = None,
     pool: "WorkerPool | None" = None,
 ) -> list[Any]:
@@ -203,17 +203,15 @@ def run_tasks(
         needs ``os.fork`` (POSIX); elsewhere execution silently falls
         back to serial.
     timeout:
-        Per-task wall-clock limit in seconds.  In the process backend
-        an overrunning worker is killed and the task retried; serially
-        it is enforced best-effort via ``SIGALRM`` on the main thread.
+        Per-task wall-clock limit in seconds, a finite number > 0, or
+        ``None`` for no limit.  In the process backend an overrunning
+        worker is killed and the task retried; serially it is enforced
+        best-effort via ``SIGALRM`` on the main thread.
     retries:
         How many times a task that timed out or whose worker crashed is
         retried before :class:`~repro.errors.ExecutorError` is raised.
         Ordinary exceptions raised *by* a task are never retried — they
         are deterministic and propagate immediately.
-    chunk_size:
-        Tasks per assignment message in the process backend (default:
-        auto, targeting ~4 chunks per worker).
     stats:
         Optional :class:`ExecutorStats` to accumulate into.
     pool:
@@ -224,6 +222,10 @@ def run_tasks(
     """
     if retries < 0:
         raise ExecutorError(f"retries must be >= 0, got {retries}")
+    if timeout is not None and not (timeout > 0 and math.isfinite(timeout)):
+        raise ExecutorError(
+            f"timeout must be a finite number > 0 or None, got {timeout!r}"
+        )
     stats = stats if stats is not None else ExecutorStats()
     tasks = list(tasks)
     n = len(tasks)
@@ -241,10 +243,10 @@ def run_tasks(
 
     start = time.perf_counter()
     if use_pool:
-        results = pool.run_encoded(payloads, timeout, retries, chunk_size, stats)
+        results = pool.run_encoded(payloads, timeout, retries, stats)
         backend, workers = "pool", min(pool.jobs, n)
     elif use_process:
-        results = _run_process(tasks, jobs, timeout, retries, chunk_size, stats)
+        results = _run_process(tasks, jobs, timeout, retries, stats)
         backend, workers = "process", jobs
     else:
         results = _run_serial(tasks, timeout, retries, stats)
@@ -484,7 +486,6 @@ def _drive_workers(
     encode_chunk: Callable[[list[int]], Any],
     timeout: float | None,
     retries: int,
-    chunk_size: int | None,
     stats: ExecutorStats,
 ) -> list[Any]:
     """Generic chunked scheduler shared by the process and pool backends.
@@ -499,8 +500,8 @@ def _drive_workers(
     from multiprocessing.connection import wait as conn_wait
 
     sink = get_sink()
-    if chunk_size is None:
-        chunk_size = max(1, min(32, n // (max(len(workers), 1) * 4)))
+    # About four chunks per worker, at most 32 tasks per message.
+    chunk_size = max(1, min(32, n // (max(len(workers), 1) * 4)))
 
     pending: deque[int] = deque(range(n))
     attempts = [0] * n
@@ -608,15 +609,14 @@ def _drive_workers(
 # process backend (fork per call)
 
 
-def _run_process(tasks, jobs, timeout, retries, chunk_size, stats):
+def _run_process(tasks, jobs, timeout, retries, stats):
     def spawn() -> _Worker:
         return _spawn_worker(_worker_main, (tasks,), pool=False)
 
     workers = [spawn() for _ in range(jobs)]
     try:
         return _drive_workers(
-            len(tasks), workers, spawn, list,
-            timeout, retries, chunk_size, stats,
+            len(tasks), workers, spawn, list, timeout, retries, stats,
         )
     finally:
         for w in workers:
@@ -739,7 +739,6 @@ class WorkerPool:
         payloads: list[bytes],
         timeout: float | None,
         retries: int,
-        chunk_size: int | None,
         stats: ExecutorStats,
     ) -> list[Any]:
         """Run pre-encoded tasks on the pool (``run_tasks`` internals)."""
@@ -757,7 +756,7 @@ class WorkerPool:
             try:
                 return _drive_workers(
                     len(payloads), self._workers, self._spawn, encode_chunk,
-                    timeout, retries, chunk_size, stats,
+                    timeout, retries, stats,
                 )
             except BaseException:
                 # In-flight chunks may still be draining into the

@@ -21,13 +21,7 @@ import numpy as np
 from repro.adversaries.base import Adversary, AdversaryContext
 from repro.channel.accounting import BatchEnergyLedger, EnergyLedger
 from repro.channel.events import N_STATUS
-from repro.channel.model import (
-    BatchPhaseOutcome,
-    resolve_phase,
-    resolve_phase_batch_core,
-    resolve_phase_dense,
-    resolve_resolver_name,
-)
+from repro.channel.model import resolve_phase, resolve_phase_batch_core
 from repro.engine.phase import BatchPhaseObservation, PhaseObservation
 from repro.engine.sampling import sample_action_events, sample_action_events_batch
 from repro.errors import (
@@ -229,12 +223,6 @@ class Simulator:
     trace:
         Optional :class:`repro.trace.TraceRecorder` capturing raw
         slot-level material of every phase (small runs only).
-    resolver:
-        ``"sparse"`` (default) for the O(events) kernel, ``"dense"``
-        for the O(L) oracle (:mod:`repro.channel.model_dense`);
-        ``None`` defers to the ``REPRO_RESOLVER`` environment variable.
-        Both produce bit-identical outcomes; the oracle exists for
-        differential testing and byte-identity CI gates.
 
     While a :mod:`repro.telemetry` sink is active, each run's ``sim.run``
     (``sim.run_batch``) span times its phase loop and splits that time
@@ -254,7 +242,6 @@ class Simulator:
         strict: bool = False,
         keep_history: bool = False,
         trace=None,
-        resolver: str | None = None,
     ) -> None:
         self.protocol = protocol
         self.adversary = adversary
@@ -263,22 +250,12 @@ class Simulator:
         self.strict = strict
         self.keep_history = keep_history
         self.trace = trace
-        self.resolver = resolve_resolver_name(resolver)
-        self.resolve_phase = (
-            resolve_phase_dense if self.resolver == "dense" else resolve_phase
-        )
 
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one execution and return its :class:`RunResult`."""
-        return self._run(seed, self.protocol, self.adversary)
+        return self._run(seed, self.adversary)
 
-    def run_batch(
-        self,
-        seeds,
-        *,
-        make_protocol=None,
-        make_adversary=None,
-    ) -> BatchResult:
+    def run_batch(self, seeds, *, make_adversary=None) -> BatchResult:
         """Play B independent trials as one stacked computation.
 
         Trial ``t`` is bit-identical to :meth:`run` ``(seeds[t])`` on
@@ -297,25 +274,27 @@ class Simulator:
         ----------
         seeds:
             One rng seed per trial.
-        make_protocol / make_adversary:
-            Optional zero-argument factories building the batch's
-            protocol and each trial's adversary.  By default the batch
-            drives the simulator's own protocol and a ``copy.deepcopy``
-            of its adversary per trial — equivalent for every
-            protocol/adversary in the repo, whose ``reset_batch`` /
-            ``begin_run`` hooks (re-)initialise all run state, so
-            back-to-back calls on one simulator are bit-identical too.
+        make_adversary:
+            Optional zero-argument factory building each trial's
+            adversary.  By default every trial gets a ``copy.deepcopy``
+            of the simulator's adversary.  The batch always drives the
+            simulator's own protocol.  Both are equivalent to fresh
+            instances for every protocol/adversary in the repo, whose
+            ``reset_batch`` / ``begin_run`` hooks (re-)initialise all
+            run state, so back-to-back calls on one simulator are
+            bit-identical too.
 
         Returns
         -------
         BatchResult
             Per-trial :class:`RunResult` views plus stacked arrays.
         """
-        return self._run_batch(seeds, make_protocol, make_adversary)
+        return self._run_batch(seeds, make_adversary)
 
-    def _run(self, seed, protocol: Protocol, adversary) -> RunResult:
+    def _run(self, seed, adversary) -> RunResult:
         """The scalar phase loop behind every engine's ``run`` and
         one-trial ``run_batch``."""
+        protocol = self.protocol
         factory = RngFactory(seed)
         protocol_rng = factory.get("protocol")
         adversary_rng = factory.get("adversary")
@@ -384,7 +363,7 @@ class Simulator:
                 t_stage = _clock(stages, "adversary", t_stage)
             extent = C * spec.length
             groups = spec.groups if jam_groups else None
-            outcome = self.resolve_phase(
+            outcome = resolve_phase(
                 extent, n_nodes, sends, listens, plan, groups=groups
             )
             if stages is not None:
@@ -445,7 +424,7 @@ class Simulator:
             node_listen_costs=ledger.listen_costs,
         )
 
-    def _run_batch(self, seeds, make_protocol, make_adversary) -> BatchResult:
+    def _run_batch(self, seeds, make_adversary) -> BatchResult:
         """The lockstep phase loop behind every engine's ``run_batch``.
 
         The protocol holds every trial's state as arrays with a leading
@@ -471,21 +450,19 @@ class Simulator:
         seeds = list(seeds)
         if not seeds:
             return BatchResult(results=(), seeds=())
-        protocol = (
-            make_protocol() if make_protocol is not None else self.protocol
-        )
         adversaries = [
             make_adversary() if make_adversary is not None
             else copy.deepcopy(self.adversary)
             for _ in seeds
         ]
         if len(seeds) == 1:
-            result = self._run(seeds[0], protocol, adversaries[0])
+            result = self._run(seeds[0], adversaries[0])
             return BatchResult(results=(result,), seeds=tuple(seeds))
         if self.trace is not None:
             raise ConfigurationError(
                 "trace recording is per-run; use run() for traced executions"
             )
+        protocol = self.protocol
         B = len(seeds)
         medium = self.medium
         C = medium.n_channels
@@ -606,25 +583,15 @@ class Simulator:
             if stages is not None:
                 t_stage = _clock(stages, "adversary", t_stage)
             groups = spec.groups if medium.jam_groups else None
-            if self.resolver == "dense":
-                core = BatchPhaseOutcome.from_outcomes([
-                    resolve_phase_dense(
-                        int(extents[i]), n_nodes,
-                        events[i][0], events[i][1], plans[i],
-                        groups=groups,
-                    )
-                    for i in range(len(idx))
-                ])
-            else:
-                core = resolve_phase_batch_core(
-                    extents,
-                    n_nodes,
-                    [ev[0] for ev in events],
-                    [ev[1] for ev in events],
-                    plans,
-                    [groups] * len(idx),
-                    validate=False,
-                )
+            core = resolve_phase_batch_core(
+                extents,
+                n_nodes,
+                [ev[0] for ev in events],
+                [ev[1] for ev in events],
+                plans,
+                [groups] * len(idx),
+                validate=False,
+            )
             if stages is not None:
                 t_stage = _clock(stages, "resolve", t_stage)
                 n_events += sum(len(ev[0]) + len(ev[1]) for ev in events)

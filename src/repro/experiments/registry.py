@@ -64,15 +64,9 @@ class RunConfig:
         overhead across a lockstep batch.  Like ``jobs``, this is an
         execution knob: any value produces byte-identical reports.
     timeout:
-        Per-replication wall-clock limit in seconds (``None`` = no
-        limit).
-    history:
-        Keep per-phase cost history on each
-        :class:`~repro.engine.simulator.RunResult` (memory-heavy; off
-        for big sweeps).
-    retries:
-        Executor retry budget for tasks whose worker crashed or timed
-        out.
+        Per-task wall-clock limit in seconds, a finite number > 0
+        (``None`` = no limit).  A task that times out, or whose worker
+        crashes, is retried once before the run fails.
     cache:
         Enable the content-addressed result cache
         (:mod:`repro.cache`): completed ``(point, replication)`` cells
@@ -120,8 +114,6 @@ class RunConfig:
     jobs: int = 1
     batch: int = 1
     timeout: float | None = None
-    history: bool = False
-    retries: int = 1
     cache: bool = field(default=False, compare=False)
     cache_dir: "str | Path | None" = field(default=None, compare=False)
     resume: bool = field(default=True, compare=False)

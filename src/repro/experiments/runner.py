@@ -125,7 +125,6 @@ def _executor_kwargs(config) -> dict:
     return {
         "jobs": config.jobs,
         "timeout": config.timeout,
-        "retries": config.retries,
         "stats": config.stats,
         "pool": getattr(config, "pool", None),
     }
@@ -292,11 +291,13 @@ def replicate(
 
     ``config`` is an optional
     :class:`~repro.experiments.registry.RunConfig` supplying the
-    executor options (jobs, batch, timeout, retries, history); ``None``
-    runs serially in-process.  Replications run as
+    executor options (jobs, batch, timeout); ``None`` runs serially
+    in-process.  Replications run as
     :meth:`~repro.engine.simulator.Simulator.run_batch` tasks of up to
     ``config.batch`` trials — bit-identical results, per-trial cache
-    entries, at every batch size.
+    entries, at every batch size.  ``sim_kwargs`` go to the engine
+    (for example ``keep_history=True``; runs that keep history are
+    never cached).
     """
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
@@ -367,8 +368,6 @@ def _run_cells(
     group's trial count.  The cache fingerprint covers ``kind`` and
     the engine options, ``sim_kwargs`` plus ``key_options``.
     """
-    if config is not None and config.history:
-        sim_kwargs.setdefault("keep_history", True)
     batch = _resolve_batch(config)
 
     store = config.resolve_cache_store() if config is not None else None

@@ -171,15 +171,13 @@ class MCSimulator(Simulator):
     # multichannel engine as its own layer.
     def run(self, seed: int | np.random.Generator | None = None) -> RunResult:
         """Play one multichannel execution (see :meth:`Simulator.run`)."""
-        return self._run(seed, self.protocol, self.adversary)
+        return self._run(seed, self.adversary)
 
-    def run_batch(
-        self, seeds, *, make_protocol=None, make_adversary=None
-    ) -> BatchResult:
+    def run_batch(self, seeds, *, make_adversary=None) -> BatchResult:
         """Play B multichannel trials in lockstep, each bit-identical to
         :meth:`run` on fresh instances (see :meth:`Simulator.run_batch`).
         """
-        return self._run_batch(seeds, make_protocol, make_adversary)
+        return self._run_batch(seeds, make_adversary)
 
 
 def mc_run(

@@ -75,6 +75,10 @@ class JobSpec:
     def __post_init__(self) -> None:
         # Validate and canonicalize the id eagerly so two spellings of
         # one experiment ("e1"/"E1") cannot mint two jobs.
+        if not isinstance(self.experiment, str):
+            raise ServiceError(
+                f"experiment must be a string, got {self.experiment!r}"
+            )
         eid = get_experiment(self.experiment).eid
         object.__setattr__(self, "experiment", eid)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):

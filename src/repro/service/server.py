@@ -247,6 +247,12 @@ class ServiceServer:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _HttpError(400, f"request body is not JSON: {exc}") from None
+        if not isinstance(payload, dict):
+            raise _HttpError(
+                400,
+                "request body must be a JSON object, "
+                f"got {type(payload).__name__}",
+            )
         wait = self._truthy(query, "wait") or bool(payload.pop("wait", False))
         spec = JobSpec.from_dict(payload)
         record = self.manager.submit(spec)
@@ -311,7 +317,9 @@ class ServiceServer:
                 await self._end_chunked(writer)
                 return
             if not events:
-                if reader.at_eof():
+                # A client that left closed its side with a FIN (EOF)
+                # or, with our chunks still unread, a reset (an error).
+                if reader.at_eof() or reader.exception() is not None:
                     return
                 await asyncio.sleep(_EVENTS_POLL)
 

@@ -52,13 +52,14 @@ def snapshots(results) -> list[str]:
     return [json.dumps(run_result_to_dict(r), sort_keys=True) for r in results]
 
 
-def run_replicate(config, n_reps=4):
+def run_replicate(config, n_reps=4, **sim_kwargs):
     return replicate(
         lambda: OneToOneBroadcast(PARAMS),
         lambda: EpochTargetJammer(T1, q=1.0, target_listener=True),
         n_reps,
         seed=3,
         config=config,
+        **sim_kwargs,
     )
 
 
@@ -104,8 +105,8 @@ class TestReplicateCache:
         assert config.stats.cache_requests == 0
 
     def test_history_runs_bypass(self, tmp_path):
-        config = cache_config(tmp_path, history=True)
-        results = run_replicate(config, n_reps=2)
+        config = cache_config(tmp_path)
+        results = run_replicate(config, n_reps=2, keep_history=True)
         assert all(r.phase_history for r in results)
         assert config.stats.cache_requests == 0
 

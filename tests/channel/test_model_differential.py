@@ -11,12 +11,15 @@ multi-group node assignments.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversaries import SilentAdversary
+from repro.adversaries import EpochTargetJammer, SilentAdversary
+from repro.channel import model
 from repro.channel.events import (
     JamPlan,
     ListenEvents,
@@ -26,15 +29,16 @@ from repro.channel.events import (
     TxKind,
 )
 from repro.channel.model import (
+    _tx_events,
+    _unique_tx_content,
     resolve_phase,
-    resolve_resolver_name,
     slot_content,
-    slot_content_at,
 )
 from repro.channel.model_dense import resolve_phase_dense
-from repro.engine.simulator import Simulator
-from repro.errors import ConfigurationError
-from repro.protocols import OneToOneBroadcast
+from repro.engine import simulator
+from repro.engine.simulator import Simulator, run
+from repro.protocols import OneToOneBroadcast, OneToOneParams
+from repro.store import run_result_to_dict
 
 pytestmark = pytest.mark.engine
 
@@ -124,10 +128,16 @@ def test_sparse_equals_dense_without_groups(setup):
 @settings(max_examples=100, deadline=None)
 @given(full_phase_setup())
 def test_slot_content_at_matches_dense_content(setup):
+    # The sparse kernel's per-slot content: its status at each distinct
+    # transmission slot, CLEAR everywhere else.
     length, _, sends, _, plan, _ = setup
     dense = slot_content(length, sends, plan)
-    queries = np.arange(length, dtype=np.int64)
-    np.testing.assert_array_equal(slot_content_at(queries, sends, plan), dense)
+    sparse = np.zeros(length, dtype=np.int8)  # SlotStatus.CLEAR
+    tx_slots, tx_kinds = _tx_events(sends, plan)
+    if len(tx_slots):
+        slots, statuses = _unique_tx_content(tx_slots, tx_kinds)
+        sparse[slots] = statuses
+    np.testing.assert_array_equal(sparse, dense)
 
 
 class TestGroundTruthIsGroupZero:
@@ -207,59 +217,77 @@ class TestHalfDuplexPinned:
         assert out.listen_cost.sum() == expected_kept
 
 
+P11 = OneToOneParams.sim()
+
+
+def mk_jammer():
+    return EpochTargetJammer(P11.first_epoch + 2, q=1.0, target_listener=True)
+
+
 class TestGetResolver:
-    """Which resolver a simulator gets: an explicit name, then
-    ``REPRO_RESOLVER``, then the sparse kernel."""
+    """The engine has one resolver: both phase loops call the sparse
+    kernels by name, ``resolver=`` is not an engine option, and the
+    ``REPRO_RESOLVER`` environment variable selects nothing."""
 
     @staticmethod
-    def get_resolver(resolver=None):
-        return Simulator(
-            OneToOneBroadcast(), SilentAdversary(), resolver=resolver
-        ).resolve_phase
+    def play(monkeypatch) -> str:
+        """One run and one two-trial batch; asserts every phase went
+        through the sparse kernels and returns the results as JSON."""
+        calls = {"run": 0, "run_batch": 0}
 
-    def test_explicit_name(self, monkeypatch):
-        monkeypatch.delenv("REPRO_RESOLVER", raising=False)
-        assert resolve_resolver_name("dense") == "dense"
-        assert self.get_resolver("dense") is resolve_phase_dense
-        assert self.get_resolver("sparse") is resolve_phase
-        assert self.get_resolver() is resolve_phase
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            mp.setattr(simulator, "resolve_phase",
+                       spy("run", model.resolve_phase))
+            mp.setattr(simulator, "resolve_phase_batch_core",
+                       spy("run_batch", model.resolve_phase_batch_core))
+            one = Simulator(OneToOneBroadcast(P11), mk_jammer()).run(123)
+            two = Simulator(OneToOneBroadcast(P11), mk_jammer()).run_batch(
+                [5, 6]
+            )
+        assert calls["run"] == one.phases
+        assert calls["run_batch"] == max(r.phases for r in two)
+        return json.dumps(
+            [run_result_to_dict(r) for r in (one, *two)], sort_keys=True
+        )
+
+    def test_explicit_name(self):
+        assert simulator.resolve_phase is model.resolve_phase
+        assert (
+            simulator.resolve_phase_batch_core
+            is model.resolve_phase_batch_core
+        )
+        for name in ("sparse", "dense"):
+            with pytest.raises(TypeError):
+                Simulator(OneToOneBroadcast(), SilentAdversary(), resolver=name)
 
     def test_bad_name_rejected(self, monkeypatch):
+        monkeypatch.delenv("REPRO_RESOLVER", raising=False)
+        want = self.play(monkeypatch)
+        with pytest.raises(TypeError):
+            Simulator(OneToOneBroadcast(), SilentAdversary(), resolver="turbo")
         monkeypatch.setenv("REPRO_RESOLVER", "turbo")
-        with pytest.raises(ConfigurationError):
-            resolve_resolver_name()
-        with pytest.raises(ConfigurationError):
-            self.get_resolver()
-        monkeypatch.delenv("REPRO_RESOLVER")
-        with pytest.raises(ConfigurationError):
-            resolve_resolver_name("turbo")
-        with pytest.raises(ConfigurationError):
-            self.get_resolver("turbo")
+        assert self.play(monkeypatch) == want
 
     def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RESOLVER", "dense")
-        assert self.get_resolver() is resolve_phase_dense
-        monkeypatch.setenv("REPRO_RESOLVER", "sparse")
-        assert self.get_resolver() is resolve_phase
-        # An explicit argument beats the environment.
-        monkeypatch.setenv("REPRO_RESOLVER", "dense")
-        assert resolve_resolver_name("sparse") == "sparse"
-        assert self.get_resolver("sparse") is resolve_phase
+        monkeypatch.delenv("REPRO_RESOLVER", raising=False)
+        want = self.play(monkeypatch)
+        for value in ("dense", "sparse"):
+            monkeypatch.setenv("REPRO_RESOLVER", value)
+            assert self.play(monkeypatch) == want
 
 
-def test_simulator_resolver_bit_identical():
-    """A full run under either resolver yields identical results."""
-    from repro.adversaries import EpochTargetJammer
-    from repro.engine.simulator import run
-    from repro.protocols import OneToOneBroadcast, OneToOneParams
-
-    params = OneToOneParams.sim()
-    mk = lambda: OneToOneBroadcast(params)  # noqa: E731
-    adv = lambda: EpochTargetJammer(  # noqa: E731
-        params.first_epoch + 2, q=1.0, target_listener=True
-    )
-    sparse = run(mk(), adv(), seed=123, resolver="sparse")
-    dense = run(mk(), adv(), seed=123, resolver="dense")
+def test_simulator_resolver_bit_identical(dense_oracle):
+    """A full run on the dense oracle yields identical results."""
+    sparse = run(OneToOneBroadcast(P11), mk_jammer(), seed=123)
+    with dense_oracle() as calls:
+        dense = run(OneToOneBroadcast(P11), mk_jammer(), seed=123)
+    assert calls["run"] == dense.phases
     np.testing.assert_array_equal(sparse.node_costs, dense.node_costs)
     assert sparse.adversary_cost == dense.adversary_cost
     assert sparse.slots == dense.slots

@@ -2,14 +2,79 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
+
+from repro.channel.model import BatchPhaseOutcome
+from repro.channel.model_dense import resolve_phase_dense
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic generator, fresh per test."""
     return np.random.default_rng(12345)
+
+
+def stack_outcomes(outcomes) -> BatchPhaseOutcome:
+    """Stack per-trial :class:`PhaseOutcome`\\ s into the
+    :class:`BatchPhaseOutcome` the lockstep loop consumes."""
+    return BatchPhaseOutcome(
+        heard=np.stack([o.heard for o in outcomes]),
+        send_cost=np.stack([o.send_cost for o in outcomes]),
+        listen_cost=np.stack([o.listen_cost for o in outcomes]),
+        adversary_costs=np.array(
+            [o.adversary_cost for o in outcomes], dtype=np.int64
+        ),
+        n_clear=np.array([o.n_clear for o in outcomes], dtype=np.int64),
+        n_noise=np.array([o.n_noise for o in outcomes], dtype=np.int64),
+        data_slots=np.array([o.data_slots for o in outcomes], dtype=np.int64),
+    )
+
+
+@pytest.fixture
+def dense_oracle():
+    """A context manager that runs both phase loops on the dense oracle.
+
+    Inside ``with dense_oracle() as calls:`` the engine's scalar loop
+    resolves through :func:`resolve_phase_dense` and its lockstep loop
+    through per-trial dense calls stacked by :func:`stack_outcomes`,
+    in place of the sparse kernels.  ``calls["run"]`` and
+    ``calls["run_batch"]`` count the patched functions' calls in this
+    process; forked executor workers inherit the patch but count in
+    their own copy.
+    """
+    from repro.engine import simulator
+
+    @contextlib.contextmanager
+    def patched():
+        calls = {"run": 0, "run_batch": 0}
+
+        def resolve(*args, **kwargs):
+            calls["run"] += 1
+            return resolve_phase_dense(*args, **kwargs)
+
+        def resolve_batch(
+            lengths, n_nodes, sends_list, listens_list, plans, groups_list,
+            validate=True,
+        ):
+            calls["run_batch"] += 1
+            return stack_outcomes([
+                resolve_phase_dense(
+                    int(length), n_nodes, sends, listens, plan, groups=groups
+                )
+                for length, sends, listens, plan, groups in zip(
+                    lengths, sends_list, listens_list, plans, groups_list
+                )
+            ])
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "resolve_phase", resolve)
+            mp.setattr(simulator, "resolve_phase_batch_core", resolve_batch)
+            yield calls
+
+    return patched
 
 
 def pytest_configure(config):

@@ -124,7 +124,7 @@ class TestRunBatchDifferential:
         seeds = [0, 1, 2]
         serial = serial_reference(mk_protocol, mk_adversary, seeds)
         batch = Simulator(mk_protocol(), mk_adversary()).run_batch(
-            seeds, make_protocol=mk_protocol, make_adversary=mk_adversary
+            seeds, make_adversary=mk_adversary
         )
         assert len(batch) == len(seeds)
         for got, want in zip(batch, serial):
@@ -134,7 +134,7 @@ class TestRunBatchDifferential:
         mk_a = lambda: SuffixJammer(0.6)  # noqa: E731
         seeds = [5, 6, 7]
         with_factories = Simulator(mk_one_to_one(), mk_a()).run_batch(
-            seeds, make_protocol=mk_one_to_one, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         defaulted = run_batch(mk_one_to_one(), mk_a(), seeds)
         for got, want in zip(defaulted, with_factories):
@@ -149,7 +149,7 @@ class TestRunBatchDifferential:
         mk_a = lambda: QBlockingJammer(q)  # noqa: E731
         serial = serial_reference(mk_one_to_one, mk_a, seeds)
         batch = Simulator(mk_one_to_one(), mk_a()).run_batch(
-            seeds, make_protocol=mk_one_to_one, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -163,7 +163,7 @@ class TestRunBatchDifferential:
         serial = serial_reference(mk_one_to_n, mk_a, seeds)
         assert len({r.phases for r in serial}) > 1  # they really stagger
         batch = Simulator(mk_one_to_n(), mk_a()).run_batch(
-            seeds, make_protocol=mk_one_to_n, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -415,33 +415,48 @@ class TestMultichannelBatch:
             MCSimulator(mk_one_to_one(), mk_a(), 2).run(s) for s in seeds
         ]
         batch = MCSimulator(mk_one_to_one(), mk_a(), 2).run_batch(
-            seeds, make_protocol=mk_one_to_one, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         assert isinstance(batch, BatchResult)
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
 
-    def test_resolver_knob(self):
+    def test_resolver_knob(self, dense_oracle):
+        # No resolver option: the dense oracle runs the MC loops only
+        # when a test patches it in, and matches the sparse kernels.
+        from repro.multichannel import MCEpochTargetJammer
         from repro.multichannel.engine import MCSimulator
 
-        sim = MCSimulator(mk_one_to_one(), SilentAdversary(), 2, resolver="dense")
-        assert sim.resolver == "dense"
+        with pytest.raises(TypeError):
+            MCSimulator(mk_one_to_one(), SilentAdversary(), 2, resolver="dense")
+        mk_a = lambda: MCEpochTargetJammer(P11.first_epoch + 2, q=1.0)  # noqa: E731
+        seeds = [0, 1]
+
+        def play():
+            one = MCSimulator(mk_one_to_one(), mk_a(), 2).run(seeds[0])
+            batch = MCSimulator(mk_one_to_one(), mk_a(), 2).run_batch(seeds)
+            return [result_json(r) for r in (one, *batch)]
+
+        sparse = play()
+        with dense_oracle() as calls:
+            dense = play()
+        assert calls["run"] > 0 and calls["run_batch"] > 0
+        assert dense == sparse
 
 
-def test_simulator_resolver_independent_of_batching():
-    # resolver="dense" routes through the batched dense oracle; results
-    # must still match the serial dense run bit-for-bit.
+def test_simulator_resolver_independent_of_batching(dense_oracle):
+    # The dense oracle patched into both loops: the lockstep batch must
+    # match the serial dense runs bit-for-bit.
     mk_a = lambda: SuffixJammer(0.5)  # noqa: E731
     seeds = [0, 1]
-    serial = [
-        Simulator(mk_one_to_one(), mk_a(), resolver="dense").run(s)
-        for s in seeds
-    ]
-    batch = Simulator(mk_one_to_one(), mk_a(), resolver="dense").run_batch(
-        seeds, make_protocol=mk_one_to_one, make_adversary=mk_a
-    )
+    with dense_oracle() as calls:
+        serial = [Simulator(mk_one_to_one(), mk_a()).run(s) for s in seeds]
+        batch = Simulator(mk_one_to_one(), mk_a()).run_batch(
+            seeds, make_adversary=mk_a
+        )
+    assert calls["run"] > 0 and calls["run_batch"] > 0
     for got, want in zip(batch, serial):
         assert result_json(got) == result_json(want)
     # And dense equals sparse as always.
-    sparse = run(mk_one_to_one(), mk_a(), seed=0, resolver="sparse")
+    sparse = run(mk_one_to_one(), mk_a(), seed=0)
     assert result_json(sparse) == result_json(serial[0])

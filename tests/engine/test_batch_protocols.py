@@ -122,7 +122,7 @@ def batch_vs_oracle(mk_protocol, mk_adversary, seeds, **sim_kwargs):
     ]
     batch = Simulator(
         mk_protocol(), mk_adversary(), **sim_kwargs
-    ).run_batch(seeds, make_protocol=mk_protocol, make_adversary=mk_adversary)
+    ).run_batch(seeds, make_adversary=mk_adversary)
     assert len(batch) == len(oracle)
     for got, want in zip(batch, oracle):
         assert result_json(got) == result_json(want)
@@ -153,7 +153,7 @@ class TestZooBitIdentity:
             Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run(s) for s in seeds
         ]
         batch = Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run_batch(
-            seeds, make_protocol=mk_protocol, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -265,9 +265,9 @@ class TestRngStreamConsumption:
             batch_rngs = [RngFactory(s).get("protocol") for s in seeds]
             proto, adv = mk_p(), SuffixJammer(0.6)
             sim = Simulator(proto, adv)
-            # Drive run_batch on pre-built generators via a factory that
-            # returns the protocol unchanged; seeds are the generators.
-            sim.run_batch(batch_rngs, make_protocol=mk_p)
+            # Drive run_batch on pre-built generators: seeds are the
+            # generators.
+            sim.run_batch(batch_rngs)
             for a, b in zip(serial_rngs, batch_rngs):
                 assert a.integers(2**62) == b.integers(2**62)
 
@@ -301,7 +301,7 @@ class TestSummaryBatch:
             Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run(s) for s in seeds
         ]
         batch = Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run_batch(
-            seeds, make_protocol=mk_protocol, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         for got, want in zip(batch, serial):
             assert json.dumps(got.stats, sort_keys=True, default=str) == \
@@ -351,7 +351,7 @@ class TestSerialCloneFallback:
         seeds = [0, 1, 2, 3]
         serial = [Simulator(mk_p(), mk_a()).run(s) for s in seeds]
         batch = Simulator(mk_p(), mk_a()).run_batch(
-            seeds, make_protocol=mk_p, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)

@@ -120,6 +120,20 @@ class TestSerialBackend:
         assert stats.timeouts == 0
 
 
+class TestTimeoutValidation:
+    """A timeout must be ``None`` or a finite number > 0, on every
+    backend: zero and NaN used to mean no limit, and -1 raised a raw
+    ``setitimer`` error serially but timed out every task in workers."""
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("timeout", [-1, 0, float("nan"), float("inf")])
+    def test_bad_timeout_rejected(self, timeout, jobs):
+        stats = ExecutorStats()
+        with pytest.raises(ExecutorError, match="timeout must be"):
+            run_tasks(square_tasks(2), jobs=jobs, timeout=timeout, stats=stats)
+        assert stats.tasks == 0
+
+
 class TestResolveJobs:
     def test_positive_passthrough(self):
         assert resolve_jobs(3) == 3

@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -56,9 +57,14 @@ def _serving(manager):
     try:
         yield holder["server"].url, holder["loop"]
     finally:
-        loop = holder["loop"]
-        for task in asyncio.all_tasks(loop):
-            loop.call_soon_threadsafe(task.cancel)
+        # Cancel from inside the loop: cancelling task by task from
+        # this thread raced the loop's shutdown once the first cancel
+        # ended ``main`` ("Event loop is closed").
+        def cancel_all():
+            for task in asyncio.all_tasks():
+                task.cancel()
+
+        holder["loop"].call_soon_threadsafe(cancel_all)
         thread.join(timeout=10)
         manager.close()
 
@@ -190,6 +196,18 @@ class TestErrorStatuses:
             with pytest.raises(ServiceError, match="405"):
                 client._json("POST", "/v1/health", payload={})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"experiment": 5}, {"experiment": None}, [1, 2]],
+        ids=["int-experiment", "null-experiment", "array-body"],
+    )
+    def test_malformed_job_body_is_400(self, service, payload):
+        # These used to reach get_experiment / dict.pop and answer 500.
+        url, _ = service
+        with ServiceClient(url) as client:
+            with pytest.raises(ServiceError, match="-> 400: "):
+                client._json("POST", "/v1/jobs", payload=payload)
+
     def test_unknown_spec_fields_rejected(self, service):
         url, _ = service
         with ServiceClient(url) as client:
@@ -274,6 +292,17 @@ class TestAbandonedStream:
         """Without job telemetry the stream writes nothing between job
         state changes, so no failed write tells the server its client
         left; the handler must notice the closed read side itself."""
+        self._leave_idle_stream(tmp_path, monkeypatch, reset=False)
+
+    def test_resetting_an_idle_stream_ends_its_handler(
+        self, tmp_path, monkeypatch
+    ):
+        """A client that closes with unread data sends a reset, not a
+        FIN: the read side then holds an error instead of EOF."""
+        self._leave_idle_stream(tmp_path, monkeypatch, reset=True)
+
+    @staticmethod
+    def _leave_idle_stream(tmp_path, monkeypatch, reset: bool) -> None:
         release = threading.Event()
 
         def blocked_run(eid, config):
@@ -285,6 +314,12 @@ class TestAbandonedStream:
         with _serving(manager) as (url, loop):
             try:
                 record = manager.submit(JobSpec("E6"))
+                # Running, so the stream has no state change left to
+                # write: only the read side can tell the client left.
+                deadline = time.monotonic() + 10
+                while record.state != "running" and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert record.state == "running"
                 client = ServiceClient(url)
                 with socket.create_connection(
                     (client.host, client.port), timeout=30
@@ -294,6 +329,11 @@ class TestAbandonedStream:
                         .encode("latin-1")
                     )
                     assert sock.recv(65536).startswith(b"HTTP/1.1 200")
+                    if reset:  # close with a reset (linger on, timeout 0)
+                        sock.setsockopt(
+                            socket.SOL_SOCKET, socket.SO_LINGER,
+                            struct.pack("ii", 1, 0),
+                        )
                 deadline = time.monotonic() + 5
                 while _open_handlers(loop) and time.monotonic() < deadline:
                     time.sleep(0.05)

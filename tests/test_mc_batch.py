@@ -99,7 +99,7 @@ class TestMCDifferential:
         sim = MCSimulator(
             mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
         )
-        batch = sim.run_batch(seeds, make_protocol=mk_p, make_adversary=mk_a)
+        batch = sim.run_batch(seeds, make_adversary=mk_a)
         serial = [
             MCSimulator(
                 mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
@@ -122,7 +122,7 @@ class TestMCDifferential:
         for mk_adv in (mk_a, mk_b):
             sim = MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000)
             batch = sim.run_batch(
-                seeds, make_protocol=mk_cz, make_adversary=mk_adv
+                seeds, make_adversary=mk_adv
             )
             serial = [
                 MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000).run(s)
@@ -142,7 +142,7 @@ class TestMCDifferential:
         mk_a = lambda: zoo[next(calls) % len(zoo)]()  # noqa: E731
         seeds = [1, 2, 3]
         sim = MCSimulator(mk_cz(), zoo[0](), C, max_slots=50_000)
-        batch = sim.run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
+        batch = sim.run_batch(seeds, make_adversary=mk_a)
         serial = []
         for i, s in enumerate(seeds):
             serial.append(
@@ -152,15 +152,17 @@ class TestMCDifferential:
             )
         assert_identical(batch, serial)
 
-    def test_dense_resolver_matches(self):
+    def test_dense_resolver_matches(self, dense_oracle):
         mk_a = ADVERSARIES["fraction"]
         seeds = [3, 4]
         sparse = MCSimulator(mk_cz(), mk_a(), C, max_slots=20_000).run_batch(
-            seeds, make_protocol=mk_cz, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
-        dense = MCSimulator(
-            mk_cz(), mk_a(), C, max_slots=20_000, resolver="dense"
-        ).run_batch(seeds, make_protocol=mk_cz, make_adversary=mk_a)
+        with dense_oracle() as calls:
+            dense = MCSimulator(mk_cz(), mk_a(), C, max_slots=20_000).run_batch(
+                seeds, make_adversary=mk_a
+            )
+        assert calls["run_batch"] > 0
         assert_identical(dense, list(sparse))
 
 
@@ -224,7 +226,7 @@ class TestHopRngContract:
         mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
         seeds = [0, 1, 2]
         batch = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run_batch(
-            seeds, make_protocol=mk_cz, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         assert [int(r.node_costs.sum()) for r in batch] == PIN_NODE_TOTALS
         assert [r.adversary_cost for r in batch] == PIN_ADV_COSTS
@@ -266,7 +268,7 @@ class TestRealSlotCapSemantics:
         batch = list(
             MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, keep_history=True
-            ).run_batch([3, 4], make_protocol=mk_cz, make_adversary=mk_a)
+            ).run_batch([3, 4], make_adversary=mk_a)
         )
         assert len(batch) == 2
         for r in [serial, *batch]:
@@ -285,7 +287,7 @@ class TestRealSlotCapSemantics:
         with pytest.raises(BudgetExceededError) as batch_exc:
             MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, strict=True
-            ).run_batch([3, 3], make_protocol=mk_cz, make_adversary=mk_a)
+            ).run_batch([3, 3], make_adversary=mk_a)
         assert str(serial_exc.value) == str(batch_exc.value)
 
 
@@ -372,7 +374,7 @@ class TestSharedLoopParity:
             return made[-1]
 
         batch = MCSimulator(mk_cz(), EchoJammer(), C, max_slots=50_000).run_batch(
-            seeds, make_protocol=mk_cz, make_adversary=mk_a
+            seeds, make_adversary=mk_a
         )
         serial, serial_seen = [], []
         for s in seeds:
