@@ -42,7 +42,9 @@ OUT = ROOT / "BENCH_engine.json"
 def _machine() -> dict:
     """Where a measurement was taken: interpreter, platform, CPU count
     and the git revision of the measured tree (``git_dirty`` when it had
-    uncommitted changes to tracked files)."""
+    uncommitted changes to tracked files).  The output file itself does
+    not count, so the sections of one regeneration on a committed tree,
+    each rewriting it in turn, all record a clean tree."""
     def git(*args: str) -> str | None:
         try:
             return subprocess.run(
@@ -52,7 +54,10 @@ def _machine() -> dict:
         except (OSError, subprocess.CalledProcessError):
             return None
 
-    status = git("status", "--porcelain", "--untracked-files=no")
+    status = git(
+        "status", "--porcelain", "--untracked-files=no",
+        "--", ".", f":(exclude){OUT.name}",
+    )
     return {
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -108,11 +113,14 @@ def _mc_batch_workloads():
         CZBroadcast,
         CZParams,
         FractionJammer,
+        MCEpochTargetJammer,
         MCSimulator,
     )
+    from repro.protocols import OneToOneBroadcast, OneToOneParams
 
     n_channels = 8
     params = CZParams.sim(n_nodes=16, n_channels=n_channels)
+    fig1 = OneToOneParams.sim()
 
     def mk_p():
         return CZBroadcast(params)
@@ -123,8 +131,23 @@ def _mc_batch_workloads():
     def mk_sim():
         return MCSimulator(mk_p(), mk_a(), n_channels, max_slots=2_000_000)
 
-    # E18-shaped: Chen-Zheng broadcast vs an eps-fraction jammer at C=8.
-    return {"e18_style_cz_fraction": (mk_p, mk_a, mk_sim, 32, 32)}
+    def mk_fig1():
+        return OneToOneBroadcast(fig1)
+
+    def mk_silent():
+        return MCEpochTargetJammer(0)
+
+    def mk_fig1_sim():
+        return MCSimulator(mk_fig1(), mk_silent(), n_channels)
+
+    return {
+        # E18-shaped: Chen-Zheng broadcast vs an eps-fraction jammer at C=8.
+        "e18_style_cz_fraction": (mk_p, mk_a, mk_sim, 32, 32),
+        # E15-shaped (Part A): unchanged Figure 1 at C=8 against a silent
+        # MCEpochTargetJammer, in the groups of 8 the multichannel bench
+        # workload runs E15 with.
+        "e15_style_fig1_silent": (mk_fig1, mk_silent, mk_fig1_sim, 64, 8),
+    }
 
 
 def bench_batch(repeats: int = 3) -> int:
@@ -133,12 +156,12 @@ def bench_batch(repeats: int = 3) -> int:
     Since the lockstep batched-protocol layer (``next_phase_batch`` /
     ``observe_batch``) the per-trial Python floor is gone: protocol
     state advances as stacked arrays, so replicate-shaped 1-to-1 sweeps
-    gain ~5x and event-heavy 1-to-n workloads ~2.5-3x; the multichannel
-    E18-style workload (``MCSimulator.run_batch``) gains ~3x.  Each
-    timing is
-    the best of ``repeats`` runs to damp scheduler noise, and every
-    batched result is asserted equal to its serial twin (the bench
-    doubles as a byte-identity check).
+    gain ~5x and event-heavy 1-to-n workloads ~2.5-3.5x; on the
+    multichannel engine (``MCSimulator.run_batch``) the E18-style
+    workload and the E15-style one, groups of 8 short Figure 1 runs,
+    gain ~2.5x.  Each timing is the best of ``repeats`` runs to damp
+    scheduler noise, and every batched result is asserted equal to its
+    serial twin (the bench doubles as a byte-identity check).
     """
     from repro.engine.simulator import Simulator
 

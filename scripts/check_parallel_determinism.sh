@@ -8,8 +8,9 @@
 #    checkpoint/resume).
 # 3. Runs the `engine`-marked pytest suite (sparse/dense resolver
 #    differential oracle, half-duplex and ground-truth pins, and whole
-#    E1 and E18 reports byte-identical with the dense oracle patched
-#    into both phase loops, E1 at batch 1, at batch 8 and with -j 2).
+#    E1, E15 and E18 reports byte-identical with the dense oracle
+#    patched into both phase loops, E1 at batch 1, at batch 8 and with
+#    -j 2, E15 and E18 at batch 8).
 # 4. Runs one experiment through the real CLI serially and with -j 2,
 #    and requires the two saved reports to be byte-identical.
 # 5. Runs E1 through the CLI twice against the same cache directory and
@@ -39,7 +40,11 @@
 #    multichannel medium), then a fixed-seed arena search against the cz-c4
 #    multichannel preset serially and with -j 2 (byte-identical
 #    leaderboards), and replays the discovered attack from the corpus
-#    demanding exact agreement.
+#    demanding exact agreement.  E15, whose runs all play Figure 1 on
+#    MCSimulator through the runner, gets the same three-way gate
+#    (serial, -j 2, --batch 8), then runs twice over one cache
+#    directory: the warm report must be byte-identical to the cold
+#    one, with every cell a hit.
 # 9. Runs the `telemetry`-marked pytest suite (sink, readers,
 #    instrumentation coverage).
 # 10. Runs E1 with and without --telemetry and requires the two saved
@@ -196,6 +201,31 @@ if ! python -m repro.cli arena replay --corpus "$tmp/mc-corpus.jsonl" \
     exit 1
 fi
 echo "OK: E18 byte-identical with -j 2; MC arena search deterministic and replayable"
+python -m repro.cli run E15 --seed 11 --save "$tmp/e15-serial" > /dev/null
+python -m repro.cli run E15 --seed 11 -j 2 --save "$tmp/e15-parallel" > /dev/null
+python -m repro.cli run E15 --seed 11 --batch 8 --save "$tmp/e15-batched" \
+    > /dev/null
+for mode in parallel batched; do
+    if ! cmp "$tmp/e15-serial/E15.json" "$tmp/e15-$mode/E15.json"; then
+        echo "FAIL: $mode E15 report differs from serial report" >&2
+        exit 1
+    fi
+done
+python -m repro.cli run E15 --seed 11 --cache --cache-dir "$tmp/e15-cache" \
+    --save "$tmp/e15-cold" > /dev/null
+python -m repro.cli run E15 --seed 11 --cache --cache-dir "$tmp/e15-cache" \
+    --save "$tmp/e15-warm" > "$tmp/e15-warm.out"
+if ! cmp "$tmp/e15-serial/E15.json" "$tmp/e15-cold/E15.json" \
+        || ! cmp "$tmp/e15-cold/E15.json" "$tmp/e15-warm/E15.json"; then
+    echo "FAIL: cached E15 report differs from the uncached one" >&2
+    exit 1
+fi
+if ! grep -q "(100%" "$tmp/e15-warm.out"; then
+    echo "FAIL: warm E15 run was not served entirely from the cache" >&2
+    cat "$tmp/e15-warm.out" >&2
+    exit 1
+fi
+echo "OK: E15 byte-identical serial vs -j 2 vs --batch 8, and cold vs warm cache (100% hits)"
 
 echo "== CLI byte-identity: duel default output across repeats =="
 python -m repro.cli duel --points 2 --reps 2 > "$tmp/duel-a.out"

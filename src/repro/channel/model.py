@@ -293,6 +293,7 @@ def resolve_phase_batch_core(
     plans: "list[JamPlan]",
     groups_list: "list[np.ndarray | None]",
     validate: bool = True,
+    half_duplex: bool = True,
 ) -> BatchPhaseOutcome:
     """Resolve B trials' phases as one stacked computation.
 
@@ -326,6 +327,12 @@ def resolve_phase_batch_core(
         spec validator covers probabilities and the samplers emit
         in-range events by construction); validation never changes the
         result, only whether malformed inputs raise here.
+    half_duplex:
+        Drop listens that share a slot with the same node's send.
+        Skippable for events that can hold no such pair, like those a
+        hopping medium already filtered on real slots before placing
+        them on channels; then the pass changes nothing, and skipping
+        it spares its key-space-sized scratch buffer.
     """
     B = len(plans)
     lengths = np.asarray(lengths, dtype=np.int64)
@@ -429,7 +436,7 @@ def resolve_phase_batch_core(
         listen_vnodes = np.empty(0, np.int64)
         listen_vslots = np.empty(0, np.int64)
         listen_groups = np.empty(0, np.int64)
-    if sn_parts and len(listen_vnodes):
+    if half_duplex and sn_parts and len(listen_vnodes):
         send_keys = (
             koff[s_own] + send_nodes_cat * lengths[s_own]
             + np.concatenate(ss_parts)

@@ -26,6 +26,17 @@ from repro._version import __version__
 from repro.experiments import RunConfig, list_experiments, run_experiment
 
 
+def _batch_size(text: str) -> int:
+    """``--batch`` values: an int >= 1, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bcast",
@@ -53,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
              "for any N)",
     )
     run_p.add_argument(
-        "--batch", "-B", type=int, default=1, metavar="B",
+        "--batch", "-B", type=_batch_size, default=1, metavar="B",
         help="trials per executor task: pack B replications into one "
              "vectorised run_batch call (1 = one run per task; results "
              "are bit-identical for any B)",
@@ -250,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes (results are bit-identical for any N)",
         )
         p.add_argument(
-            "--batch", "-B", type=int, default=1, metavar="B",
+            "--batch", "-B", type=_batch_size, default=1, metavar="B",
             help="trials per executor task (results are bit-identical "
                  "for any B)",
         )
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
              "per core, 1 = serial)",
     )
     serve_p.add_argument(
-        "--batch", "-B", type=int, default=1, metavar="B",
+        "--batch", "-B", type=_batch_size, default=1, metavar="B",
         help="trials per executor task (results are bit-identical for "
              "any B)",
     )

@@ -174,7 +174,10 @@ class SingleChannel:
       ``None``.  A medium that names one also provides
       ``hop(sends, listens, length, rng)``, which places one trial's
       real-slot events on the resolver's slot axis; the loops charge it
-      to the ``sampling`` stage.  One channel needs neither.
+      to the ``sampling`` stage.  ``hop`` applies half-duplex on real
+      slots first, so no node keeps a send and a listen in one resolver
+      slot, and the lockstep loop skips the resolver's own half-duplex
+      pass.  One channel needs neither.
     * The adversary side: ``adversary_base`` (the strategy interface;
       the heterogeneous-batch fallback and the ``observe_outcome``
       override check key off it), :meth:`begin_run` and
@@ -591,6 +594,7 @@ class Simulator:
                 plans,
                 [groups] * len(idx),
                 validate=False,
+                half_duplex=hop_rngs is None,
             )
             if stages is not None:
                 t_stage = _clock(stages, "resolve", t_stage)

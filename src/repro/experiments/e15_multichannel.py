@@ -23,10 +23,12 @@ findings, each checked:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.experiments.registry import ExperimentReport, RunConfig
-from repro.experiments.runner import Table
+from repro.experiments.runner import Table, _run_cells
 from repro.multichannel import (
     ChannelBandJammer,
     MCEpochTargetJammer,
@@ -34,19 +36,31 @@ from repro.multichannel import (
     hopping_rate_params,
 )
 from repro.protocols.one_to_one import OneToOneBroadcast, OneToOneParams
-from repro.rng import derive
 
 
-def _measure(params, adversary_factory, C, n_reps, seed):
-    Ts, costs, succ = [], [], []
-    for r in range(n_reps):
-        res = MCSimulator(
-            OneToOneBroadcast(params), adversary_factory(), C
-        ).run(derive(seed, C, r))
-        Ts.append(res.adversary_cost)
-        costs.append(res.max_node_cost)
-        succ.append(res.success)
-    return float(np.mean(Ts)), float(np.mean(costs)), float(np.mean(succ))
+def _play(params, C, cells, cfg):
+    """Figure 1 with ``params`` on ``C`` channels over sweep cells
+    ``(make_adversary, seed_paths)``; one result list per cell.
+
+    This is the runner body behind ``mc_replicate`` (cache, ``-j``,
+    batch), fed E15's own seed paths.  ``mc_replicate`` seeds trial
+    ``r`` with ``derive(seed, r)``, and no such path gives the streams
+    of E15's longer paths, for example ``(seed, 1, C, r)``.
+    """
+    return _run_cells(
+        functools.partial(MCSimulator, n_channels=C),
+        "mc_replicate", {"n_channels": C},
+        functools.partial(OneToOneBroadcast, params), cells, cfg, {},
+    )
+
+
+def _means(results):
+    """Mean (adversary spend, max node cost, success) of one cell."""
+    return (
+        float(np.mean([r.adversary_cost for r in results])),
+        float(np.mean([r.max_node_cost for r in results])),
+        float(np.mean([r.success for r in results])),
+    )
 
 
 def run(config: RunConfig | None = None) -> ExperimentReport:
@@ -66,16 +80,12 @@ def run(config: RunConfig | None = None) -> ExperimentReport:
         ["C", "success rate", "target 1-eps"],
     )
     rates = []
+    silent = functools.partial(MCEpochTargetJammer, 0)
     for C in channel_counts:
-        wins = 0
-        for r in range(n_trials):
-            res = MCSimulator(
-                OneToOneBroadcast(base),
-                MCEpochTargetJammer(target_epoch=0),  # silent
-                C,
-            ).run(derive(seed, 1, C, r))
-            wins += res.success
-        rates.append(wins / n_trials)
+        (res,) = _play(
+            base, C, [(silent, [(seed, 1, C, r) for r in range(n_trials)])], cfg
+        )
+        rates.append(sum(r.success for r in res) / n_trials)
         tA.add_row(C, rates[-1], 1 - base.epsilon)
     report.tables.append(tA)
     report.checks["uncorrected hopping erodes the guarantee at large C"] = bool(
@@ -97,11 +107,12 @@ def run(config: RunConfig | None = None) -> ExperimentReport:
         # Equal budget: blocking to epoch l costs ~ 2C * 2^(l+1), so
         # l(C) = log2(T / (4C)).
         target = max(params.first_epoch, int(np.log2(fixed_target_T / (4 * C))))
-        T, cost, succ = _measure(
-            params,
-            lambda t=target: MCEpochTargetJammer(t, q=1.0),
-            C, n_reps, seed + 2,
+        jammer = functools.partial(MCEpochTargetJammer, target, q=1.0)
+        (res,) = _play(
+            params, C, [(jammer, [(seed + 2, C, r) for r in range(n_reps)])],
+            cfg,
         )
+        T, cost, succ = _means(res)
         costs_at_equal_T.append(cost)
         tB.add_row(C, target, T, cost, succ)
     report.tables.append(tB)
@@ -126,15 +137,24 @@ def run(config: RunConfig | None = None) -> ExperimentReport:
         f"{n_reps} reps/point)",
         ["k/C", "T spent", "max_cost", "success"],
     )
+    bands = (0, 1, 8)
+    per_band = _play(
+        params, C,
+        [
+            (
+                functools.partial(
+                    ChannelBandJammer, n_channels_jammed=k, q=1.0,
+                    max_total=200_000,
+                ),
+                [(seed + 3, C, r) for r in range(n_reps)],
+            )
+            for k in bands
+        ],
+        cfg,
+    )
     cost_by_band = {}
-    for k in (0, 1, 8):
-        T, cost, succ = _measure(
-            params,
-            lambda k=k: ChannelBandJammer(
-                n_channels_jammed=k, q=1.0, max_total=200_000
-            ),
-            C, n_reps, seed + 3,
-        )
+    for k, res in zip(bands, per_band):
+        T, cost, succ = _means(res)
         cost_by_band[k] = cost
         tC.add_row(k / C, T, cost, succ)
     report.tables.append(tC)

@@ -63,6 +63,8 @@ class RunConfig:
         scalar loop, and larger values amortise per-phase Python
         overhead across a lockstep batch.  Like ``jobs``, this is an
         execution knob: any value produces byte-identical reports.
+        Values below 1 raise
+        :class:`~repro.errors.ConfigurationError` at construction.
     timeout:
         Per-task wall-clock limit in seconds, a finite number > 0
         (``None`` = no limit).  A task that times out, or whose worker
@@ -124,6 +126,10 @@ class RunConfig:
     stats: ExecutorStats = field(
         default_factory=ExecutorStats, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
 
     @property
     def full(self) -> bool:

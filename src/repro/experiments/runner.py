@@ -173,16 +173,6 @@ def _group_keys(base: dict | None, make_adversary, seed_paths) -> list:
     return [task_key(with_adv, path) for path in seed_paths]
 
 
-def _resolve_batch(config) -> int:
-    """Trials per executor task (``1`` without a config)."""
-    if config is None:
-        return 1
-    batch = getattr(config, "batch", 1)
-    if batch < 1:
-        raise ConfigurationError(f"batch must be >= 1, got {batch}")
-    return batch
-
-
 def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> list:
     """Serve cache hits and run the misses as ``run_batch`` groups.
 
@@ -357,7 +347,8 @@ def _run_cells(
     sim_kwargs: dict,
 ) -> list[list[RunResult]]:
     """The one body of :func:`replicate`, :func:`mc_replicate` and
-    :func:`sweep_epoch_targets`; returns one result list per cell.
+    :func:`sweep_epoch_targets` (and of E15, which brings its own seed
+    paths); returns one result list per cell.
 
     A sweep is a list of *cells* ``(make_adversary, seed_paths)``:
     trial ``i`` of a cell plays ``derive(*seed_paths[i])`` against a
@@ -368,8 +359,7 @@ def _run_cells(
     group's trial count.  The cache fingerprint covers ``kind`` and
     the engine options, ``sim_kwargs`` plus ``key_options``.
     """
-    batch = _resolve_batch(config)
-
+    batch = config.batch if config is not None else 1
     store = config.resolve_cache_store() if config is not None else None
     base = _fingerprint_base(
         config, store, kind, make_protocol, dict(sim_kwargs, **key_options)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.engine.executor import WorkerPool
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.registry import (
     RunConfig,
     get_experiment,
@@ -175,6 +175,8 @@ class JobManager:
         from repro.cache import CacheStore, ReadThroughStore, default_cache_dir
         from repro.cache.memory import DEFAULT_MEMORY_ENTRIES
 
+        if batch < 1:
+            raise ConfigurationError(f"batch must be >= 1, got {batch}")
         self.jobs = jobs
         self.batch = batch
         self.store = ReadThroughStore(

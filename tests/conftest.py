@@ -40,7 +40,10 @@ def dense_oracle():
     Inside ``with dense_oracle() as calls:`` the engine's scalar loop
     resolves through :func:`resolve_phase_dense` and its lockstep loop
     through per-trial dense calls stacked by :func:`stack_outcomes`,
-    in place of the sparse kernels.  ``calls["run"]`` and
+    in place of the sparse kernels.  The oracle always applies
+    half-duplex, so a lockstep run on the hopping medium, where the
+    engine skips the sparse kernel's half-duplex pass, proves that skip
+    exact.  ``calls["run"]`` and
     ``calls["run_batch"]`` count the patched functions' calls in this
     process; forked executor workers inherit the patch but count in
     their own copy.
@@ -57,7 +60,7 @@ def dense_oracle():
 
         def resolve_batch(
             lengths, n_nodes, sends_list, listens_list, plans, groups_list,
-            validate=True,
+            validate=True, half_duplex=True,
         ):
             calls["run_batch"] += 1
             return stack_outcomes([

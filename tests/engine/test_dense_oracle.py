@@ -4,8 +4,10 @@ byte-identical when both phase loops resolve on the dense O(L) oracle.
 The ``dense_oracle`` fixture (``tests/conftest.py``) patches the oracle
 into the engine in place of the sparse kernels.  E1 covers the scalar
 loop (batch 1), the lockstep loop (batch 8) and forked executor
-workers, which inherit the patch (``jobs=2``); E18 covers the lockstep
-loop on the ``C``-channel medium.
+workers, which inherit the patch (``jobs=2``); E18 and E15 cover the
+lockstep loop on the ``C``-channel medium.  There the engine skips the
+sparse kernel's half-duplex pass while the oracle always applies
+half-duplex, so these cases also prove the skip exact.
 """
 
 from __future__ import annotations
@@ -27,8 +29,14 @@ def report_bytes(eid: str, **config) -> bytes:
 
 @pytest.mark.parametrize(
     "eid,batch,jobs",
-    [("E1", 1, 1), ("E1", 8, 1), ("E1", 8, 2), ("E18", 8, 1)],
-    ids=["E1-batch1", "E1-batch8", "E1-batch8-jobs2", "E18-batch8"],
+    [
+        ("E1", 1, 1), ("E1", 8, 1), ("E1", 8, 2), ("E18", 8, 1),
+        ("E15", 8, 1),
+    ],
+    ids=[
+        "E1-batch1", "E1-batch8", "E1-batch8-jobs2", "E18-batch8",
+        "E15-batch8",
+    ],
 )
 def test_report_identical_under_dense_oracle(dense_oracle, eid, batch, jobs):
     if eid not in _reference:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adversaries.basic import SilentAdversary
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.errors import ConfigurationError
 from repro.experiments.registry import (
@@ -160,6 +161,38 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["--version"])
         assert exc.value.code == 0
+
+
+class TestBatchValidation:
+    """``--batch`` below 1 is refused where the value enters, before
+    any work starts."""
+
+    def test_run_config_rejects_batch_below_one(self):
+        with pytest.raises(ConfigurationError, match="batch must be >= 1"):
+            RunConfig(batch=0)
+        with pytest.raises(ConfigurationError, match="batch must be >= 1"):
+            RunConfig(batch=-3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E4"],
+            ["arena", "search"],
+            ["arena", "tournament"],
+            ["arena", "replay"],
+            ["arena", "corpus"],
+            ["serve"],
+        ],
+        ids=lambda argv: "-".join(argv),
+    )
+    def test_cli_batch_option_is_a_usage_error(self, argv, capsys):
+        parser = build_parser()
+        assert parser.parse_args(argv + ["--batch", "2"]).batch == 2
+        for bad in ("0", "-1", "x"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + ["--batch", bad])
+            assert exc.value.code == 2
+            assert "--batch" in capsys.readouterr().err
 
 
 class TestReportRendering:

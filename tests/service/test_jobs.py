@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.registry import RunConfig, run_experiment
 from repro.service import JobManager, JobSpec, JobState
 from repro.store import report_to_bytes
@@ -155,6 +155,12 @@ class TestJobManager:
             assert record.state == JobState.COMPLETED
             assert record.error is None
             assert record.submissions == 2
+
+    def test_rejects_batch_below_one(self, tmp_path):
+        # Refused at construction: no worker pool, no runner thread, and
+        # no job that could fail later on the bad value.
+        with pytest.raises(ConfigurationError, match="batch must be >= 1"):
+            JobManager(batch=0, cache_dir=tmp_path / "cache")
 
     def test_closed_manager_rejects_submissions(self, tmp_path):
         mgr = JobManager(cache_dir=tmp_path / "cache")

@@ -13,6 +13,7 @@ engine reuse, and outcome feedback to adaptive adversaries.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adversaries import SuffixJammer
+from repro.adversaries import SilentAdversary, SuffixJammer
+from repro.channel.model import BatchPhaseOutcome, resolve_phase_batch_core
+from repro.engine import simulator
+from repro.engine.sampling import sample_action_events
 from repro.engine.simulator import Simulator
 from repro.errors import BudgetExceededError
 from repro.experiments.registry import RunConfig
@@ -39,7 +43,7 @@ from repro.multichannel import (
 )
 from repro.multichannel.adversaries import MCAdversary
 from repro.multichannel.engine import HoppingChannels, _hop, _half_duplex
-from repro.channel.events import ListenEvents, SendEvents
+from repro.channel.events import JamPlan, ListenEvents, SendEvents
 from repro.protocols import OneToNBroadcast, OneToNParams
 from repro.rng import RngFactory
 from repro.store import run_result_to_dict
@@ -243,6 +247,92 @@ class TestHopRngContract:
         assert a[0].integers(2**62) == b[1].integers(2**62)
         assert a[1].integers(2**62) == b[2].integers(2**62)
         assert a[2].integers(2**62) == b[0].integers(2**62)
+
+
+class TestHalfDuplexSkip:
+    """The lockstep loop skips the resolver's half-duplex pass exactly
+    when the medium hops: ``hop`` has already dropped every listen that
+    shares a real slot with the same node's send, so no (node, virtual
+    slot) pair can hold both.  One channel has no hop and keeps the
+    pass."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_channels=st.integers(2, 16),
+        n_nodes=st.integers(1, 8),
+        lengths=st.lists(st.integers(1, 48), min_size=1, max_size=5),
+        p_max=st.floats(0.05, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pass_drops_nothing_after_hop(
+        self, n_channels, n_nodes, lengths, p_max, seed
+    ):
+        rng = np.random.default_rng(seed)
+        medium = HoppingChannels(n_channels)
+        sends_list, listens_list, plans = [], [], []
+        for length in lengths:
+            sends, listens = sample_action_events(
+                rng, length,
+                rng.uniform(0.0, p_max, n_nodes),
+                rng.integers(1, 3, n_nodes).astype(np.int8),
+                rng.uniform(0.0, p_max, n_nodes),
+            )
+            sends, listens = medium.hop(sends, listens, length, rng)
+            extent = n_channels * length
+            n_spoofs = int(rng.integers(0, 3))
+            plans.append(JamPlan(
+                extent,
+                global_slots=rng.choice(extent, rng.integers(0, extent // 3 + 1)),
+                spoof_slots=rng.integers(0, extent, n_spoofs),
+                spoof_kinds=rng.integers(1, 3, n_spoofs).astype(np.int8),
+            ))
+            sends_list.append(sends)
+            listens_list.append(listens)
+        args = (
+            [n_channels * length for length in lengths], n_nodes,
+            sends_list, listens_list, plans, [None] * len(lengths),
+        )
+        want = resolve_phase_batch_core(*args)
+        got = resolve_phase_batch_core(*args, half_duplex=False)
+        for f in dataclasses.fields(BatchPhaseOutcome):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+
+    @pytest.mark.parametrize(
+        "engine,expected",
+        [
+            (lambda p, a: Simulator(p, a), True),
+            (lambda p, a: MCSimulator(p, a, 1), False),
+        ],
+        ids=["single-channel", "hopping-c1"],
+    )
+    def test_only_single_channel_keeps_the_pass(
+        self, monkeypatch, engine, expected
+    ):
+        # Figure 2's nodes send and listen in one phase, so on one
+        # channel the pass drops listens in this batch; the scalar loop,
+        # which always applies half-duplex, is the oracle.  At C=1 the
+        # hop consumes no rng, so both engines share these pins.
+        seen, dropped = set(), []
+
+        def spy(*args, **kwargs):
+            seen.add(kwargs["half_duplex"])
+            on = resolve_phase_batch_core(*args, **dict(kwargs, half_duplex=True))
+            off = resolve_phase_batch_core(*args, **dict(kwargs, half_duplex=False))
+            dropped.append(int(off.listen_cost.sum() - on.listen_cost.sum()))
+            return resolve_phase_batch_core(*args, **kwargs)
+
+        mk_p = lambda: OneToNBroadcast(4, OneToNParams.sim())  # noqa: E731
+        seeds = [0, 1, 2]
+        serial = [engine(mk_p(), SilentAdversary()).run(s) for s in seeds]
+        monkeypatch.setattr(simulator, "resolve_phase_batch_core", spy)
+        batch = engine(mk_p(), SilentAdversary()).run_batch(seeds)
+        assert seen == {expected}
+        assert_identical(batch, serial)
+        assert [r.slots for r in batch] == [38864, 43984, 45776]
+        assert [int(r.node_costs.sum()) for r in batch] == [58658, 81598, 89898]
+        # On one channel the resolver's pass does the dropping; after a
+        # hop there is nothing left for it to drop.
+        assert (sum(dropped) > 0) == expected
 
 
 class TestRealSlotCapSemantics:
