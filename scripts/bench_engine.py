@@ -192,10 +192,10 @@ def bench_batch(repeats: int = 3) -> int:
             t0 = time.perf_counter()
             batched = []
             for i in range(0, n_trials, batch_size):
+                chunk = seeds[i : i + batch_size]
                 batched.extend(
                     mk_sim().run_batch(
-                        seeds[i : i + batch_size],
-                        make_adversary=mk_a,
+                        chunk, adversaries=[mk_a() for _ in chunk]
                     )
                 )
             batch_s = min(batch_s, time.perf_counter() - t0)
@@ -256,9 +256,9 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
                     Simulator(mk_p(), mk_a()).run(s)
             else:
                 for i in range(0, n_trials, batch_size):
+                    chunk = seeds[i : i + batch_size]
                     Simulator(mk_p(), mk_a()).run_batch(
-                        seeds[i : i + batch_size],
-                        make_adversary=mk_a,
+                        chunk, adversaries=[mk_a() for _ in chunk]
                     )
             wall = time.perf_counter() - t0
             prof: dict[str, float] = {}

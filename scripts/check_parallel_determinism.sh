@@ -11,14 +11,24 @@
 #    E1, E15 and E18 reports byte-identical with the dense oracle
 #    patched into both phase loops, E1 at batch 1, at batch 8 and with
 #    -j 2, E15 and E18 at batch 8).
+# The CLI's --batch defaults to 64 (a cap on trials per task, in
+# lockstep groups that span a sweep's cells).  The pair gates below
+# pass --batch 1 on the runs they compare, so each pair compares the
+# scalar loop (one-trial groups) with the mode under test; the
+# default-batch gates in steps 4, 6 and 12 compare the default itself
+# with --batch 1.
+#
 # 4. Runs one experiment through the real CLI serially and with -j 2,
-#    and requires the two saved reports to be byte-identical.
+#    and requires the two saved reports to be byte-identical; then the
+#    same -j 2 run at the default batch, whose groups are split over
+#    both workers, against the same serial report.
 # 5. Runs E1 through the CLI twice against the same cache directory and
 #    requires the warm-cache report to be byte-identical to the cold
 #    one, with every cell served from the cache.  A third run at
 #    --batch 8 over the same directory must match too, again with every
 #    cell a hit: batch 1 and batch 8 share one cache path.
-# 6. Saves E1's serial report, the reference for steps 6b and 12.
+# 6. Saves E1's --batch 1 report, the reference for steps 6b and 12,
+#    and requires E1 at the default batch to match it.
 # 6b. Runs E1 with --batch 8 and requires its saved report to be
 #    byte-identical to the serial one — the end-to-end gate for the
 #    trial-batched kernel.
@@ -47,8 +57,8 @@
 #    one, with every cell a hit.
 # 9. Runs the `telemetry`-marked pytest suite (sink, readers,
 #    instrumentation coverage).
-# 10. Runs E1 with and without --telemetry and requires the two saved
-#    reports to be byte-identical (telemetry is write-only
+# 10. Runs E1 at --batch 1 with and without --telemetry and requires
+#    the two saved reports to be byte-identical (telemetry is write-only
 #    observability), plus `telemetry summarize` to render the run with
 #    a stages table holding a `resolve` row for sim.run.  The same pair
 #    at --batch 8 gates the lockstep loop: its summary must list a
@@ -58,15 +68,15 @@
 # 11. Runs the `service`-marked pytest suite (job dedupe, HTTP
 #    server/client end-to-end, a client leaving an event stream, a
 #    server SIGKILLed mid-job and restarted over the same cache).
-# 12. Service smoke gate: starts `repro-bcast serve` in the
-#    background, submits the E1 sweep from step 6 through the real
-#    client, and requires (a) the returned report to be byte-identical
-#    to the CLI-saved one, (b) a warm resubmission against a fresh
-#    server over the same cache directory to be served 100% from the
-#    cache with zero executed task sets.
+# 12. Service smoke gate: starts `repro-bcast serve` (at its default
+#    batch) in the background, submits the E1 sweep from step 6
+#    through the real client, and requires (a) the returned report to
+#    be byte-identical to step 6's --batch 1 one, (b) a warm
+#    resubmission against a fresh server over the same cache directory
+#    to be served 100% from the cache with zero executed task sets.
 # 13. Baseline gate: runs every registered experiment and ablation
-#    (`run all --batch 64`, quick mode, seed 0) and requires each saved
-#    report to be byte-identical to its committed
+#    (`run all` at the default batch, quick mode, seed 0) and requires
+#    each saved report to be byte-identical to its committed
 #    `results/baseline/<eid>.json`, with no report missing or extra.
 #    It fails on the first difference, or when the CLI exits 1 because
 #    a claim check failed.  The pair gates above compare two modes that
@@ -90,19 +100,32 @@ python -m pytest -q -m engine "$@"
 echo "== CLI byte-identity: repro-bcast run E4 vs run E4 -j 2 =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-python -m repro.cli run E4 --seed 11 --save "$tmp/serial" > /dev/null
-python -m repro.cli run E4 --seed 11 -j 2 --save "$tmp/parallel" > /dev/null
+python -m repro.cli run E4 --seed 11 --batch 1 --save "$tmp/serial" > /dev/null
+python -m repro.cli run E4 --seed 11 --batch 1 -j 2 --save "$tmp/parallel" \
+    > /dev/null
 if ! cmp "$tmp/serial/E4.json" "$tmp/parallel/E4.json"; then
     echo "FAIL: parallel report differs from serial report" >&2
     exit 1
 fi
 echo "OK: E4 report byte-identical with -j 2"
+python -m repro.cli run E4 --seed 11 -j 2 --save "$tmp/parallel-default" \
+    > "$tmp/parallel-default.out"
+if ! cmp "$tmp/serial/E4.json" "$tmp/parallel-default/E4.json"; then
+    echo "FAIL: -j 2 report at the default batch differs from --batch 1" >&2
+    exit 1
+fi
+if ! grep -q "backend=process" "$tmp/parallel-default.out"; then
+    echo "FAIL: -j 2 at the default batch did not split over the workers" >&2
+    cat "$tmp/parallel-default.out" >&2
+    exit 1
+fi
+echo "OK: E4 report byte-identical with -j 2 at the default batch"
 
 echo "== CLI byte-identity: cold vs warm cache (repro-bcast run E1 --cache) =="
-python -m repro.cli run E1 --seed 11 --cache --cache-dir "$tmp/cache" \
-    --save "$tmp/cold" > /dev/null
-python -m repro.cli run E1 --seed 11 --cache --cache-dir "$tmp/cache" \
-    --save "$tmp/warm" > "$tmp/warm.out"
+python -m repro.cli run E1 --seed 11 --batch 1 --cache \
+    --cache-dir "$tmp/cache" --save "$tmp/cold" > /dev/null
+python -m repro.cli run E1 --seed 11 --batch 1 --cache \
+    --cache-dir "$tmp/cache" --save "$tmp/warm" > "$tmp/warm.out"
 if ! cmp "$tmp/cold/E1.json" "$tmp/warm/E1.json"; then
     echo "FAIL: warm-cache report differs from cold report" >&2
     exit 1
@@ -125,8 +148,16 @@ if ! grep -q "(100%" "$tmp/warm-b8.out"; then
 fi
 echo "OK: E1 report byte-identical cold vs warm (batch 1 and 8), 100% cache hits"
 
+echo "== CLI byte-identity: --batch 1 vs the default batch (run E1) =="
+python -m repro.cli run E1 --seed 11 --batch 1 --save "$tmp/sparse" > /dev/null
+python -m repro.cli run E1 --seed 11 --save "$tmp/default" > /dev/null
+if ! cmp "$tmp/sparse/E1.json" "$tmp/default/E1.json"; then
+    echo "FAIL: default-batch report differs from the --batch 1 report" >&2
+    exit 1
+fi
+echo "OK: E1 report byte-identical --batch 1 vs the default batch"
+
 echo "== CLI byte-identity: serial vs trial-batched (run E1 -B 8) =="
-python -m repro.cli run E1 --seed 11 --save "$tmp/sparse" > /dev/null
 python -m repro.cli run E1 --seed 11 --batch 8 --save "$tmp/batched" > /dev/null
 if ! cmp "$tmp/sparse/E1.json" "$tmp/batched/E1.json"; then
     echo "FAIL: batched report differs from serial report" >&2
@@ -135,7 +166,8 @@ fi
 echo "OK: E1 report byte-identical serial vs --batch 8"
 
 echo "== CLI byte-identity: serial vs batched protocols (run E8 -B 8) =="
-python -m repro.cli run E8 --seed 11 --save "$tmp/e8-serial" > /dev/null
+python -m repro.cli run E8 --seed 11 --batch 1 --save "$tmp/e8-serial" \
+    > /dev/null
 python -m repro.cli run E8 --seed 11 --batch 8 --save "$tmp/e8-batched" \
     > /dev/null
 if ! cmp "$tmp/e8-serial/E8.json" "$tmp/e8-batched/E8.json"; then
@@ -160,9 +192,9 @@ python -m pytest -q -m arena "$@"
 
 echo "== CLI byte-identity: arena search serial vs -j 2 =="
 python -m repro.cli arena search --seed 11 --generations 2 --population 6 \
-    --reps 2 --save "$tmp/arena-serial" > /dev/null
+    --reps 2 --batch 1 --save "$tmp/arena-serial" > /dev/null
 python -m repro.cli arena search --seed 11 --generations 2 --population 6 \
-    --reps 2 -j 2 --save "$tmp/arena-parallel" > /dev/null
+    --reps 2 --batch 1 -j 2 --save "$tmp/arena-parallel" > /dev/null
 if ! cmp "$tmp/arena-serial/ARENA-SEARCH.json" \
          "$tmp/arena-parallel/ARENA-SEARCH.json"; then
     echo "FAIL: parallel arena search differs from serial" >&2
@@ -171,8 +203,10 @@ fi
 echo "OK: arena search leaderboard (and best genome) byte-identical with -j 2"
 
 echo "== multichannel gate: E18 serial vs -j 2, arena search over MC genomes =="
-python -m repro.cli run E18 --seed 11 --save "$tmp/e18-serial" > /dev/null
-python -m repro.cli run E18 --seed 11 -j 2 --save "$tmp/e18-parallel" > /dev/null
+python -m repro.cli run E18 --seed 11 --batch 1 --save "$tmp/e18-serial" \
+    > /dev/null
+python -m repro.cli run E18 --seed 11 --batch 1 -j 2 \
+    --save "$tmp/e18-parallel" > /dev/null
 if ! cmp "$tmp/e18-serial/E18.json" "$tmp/e18-parallel/E18.json"; then
     echo "FAIL: parallel E18 report differs from serial report" >&2
     exit 1
@@ -185,10 +219,10 @@ if ! cmp "$tmp/e18-serial/E18.json" "$tmp/e18-batched/E18.json"; then
 fi
 echo "OK: E18 report byte-identical serial vs --batch 8"
 python -m repro.cli arena search --seed 11 --protocol cz-c4 \
-    --generations 1 --population 4 --reps 2 \
+    --generations 1 --population 4 --reps 2 --batch 1 \
     --save "$tmp/mc-arena-serial" --corpus "$tmp/mc-corpus.jsonl" > /dev/null
 python -m repro.cli arena search --seed 11 --protocol cz-c4 \
-    --generations 1 --population 4 --reps 2 -j 2 \
+    --generations 1 --population 4 --reps 2 --batch 1 -j 2 \
     --save "$tmp/mc-arena-parallel" > /dev/null
 if ! cmp "$tmp/mc-arena-serial/ARENA-SEARCH.json" \
          "$tmp/mc-arena-parallel/ARENA-SEARCH.json"; then
@@ -201,8 +235,10 @@ if ! python -m repro.cli arena replay --corpus "$tmp/mc-corpus.jsonl" \
     exit 1
 fi
 echo "OK: E18 byte-identical with -j 2; MC arena search deterministic and replayable"
-python -m repro.cli run E15 --seed 11 --save "$tmp/e15-serial" > /dev/null
-python -m repro.cli run E15 --seed 11 -j 2 --save "$tmp/e15-parallel" > /dev/null
+python -m repro.cli run E15 --seed 11 --batch 1 --save "$tmp/e15-serial" \
+    > /dev/null
+python -m repro.cli run E15 --seed 11 --batch 1 -j 2 \
+    --save "$tmp/e15-parallel" > /dev/null
 python -m repro.cli run E15 --seed 11 --batch 8 --save "$tmp/e15-batched" \
     > /dev/null
 for mode in parallel batched; do
@@ -211,10 +247,10 @@ for mode in parallel batched; do
         exit 1
     fi
 done
-python -m repro.cli run E15 --seed 11 --cache --cache-dir "$tmp/e15-cache" \
-    --save "$tmp/e15-cold" > /dev/null
-python -m repro.cli run E15 --seed 11 --cache --cache-dir "$tmp/e15-cache" \
-    --save "$tmp/e15-warm" > "$tmp/e15-warm.out"
+python -m repro.cli run E15 --seed 11 --batch 1 --cache \
+    --cache-dir "$tmp/e15-cache" --save "$tmp/e15-cold" > /dev/null
+python -m repro.cli run E15 --seed 11 --batch 1 --cache \
+    --cache-dir "$tmp/e15-cache" --save "$tmp/e15-warm" > "$tmp/e15-warm.out"
 if ! cmp "$tmp/e15-serial/E15.json" "$tmp/e15-cold/E15.json" \
         || ! cmp "$tmp/e15-cold/E15.json" "$tmp/e15-warm/E15.json"; then
     echo "FAIL: cached E15 report differs from the uncached one" >&2
@@ -240,8 +276,9 @@ echo "== telemetry suite (pytest -m telemetry) =="
 python -m pytest -q -m telemetry "$@"
 
 echo "== CLI byte-identity: run E1 with vs without --telemetry =="
-python -m repro.cli run E1 --seed 11 --save "$tmp/tele-off" > /dev/null
-python -m repro.cli run E1 --seed 11 --telemetry "$tmp/tele" \
+python -m repro.cli run E1 --seed 11 --batch 1 --save "$tmp/tele-off" \
+    > /dev/null
+python -m repro.cli run E1 --seed 11 --batch 1 --telemetry "$tmp/tele" \
     --save "$tmp/tele-on" > /dev/null
 if ! cmp "$tmp/tele-off/E1.json" "$tmp/tele-on/E1.json"; then
     echo "FAIL: telemetry-on report differs from telemetry-off report" >&2
@@ -291,8 +328,9 @@ fi
 echo "OK: E1 --batch 8 report byte-identical with --telemetry; sim.run_batch spans and stages"
 
 echo "== CLI byte-identity: run E15 (multichannel) with vs without --telemetry =="
-python -m repro.cli run E15 --seed 11 --save "$tmp/e15-tele-off" > /dev/null
-python -m repro.cli run E15 --seed 11 --telemetry "$tmp/e15-tele" \
+python -m repro.cli run E15 --seed 11 --batch 1 --save "$tmp/e15-tele-off" \
+    > /dev/null
+python -m repro.cli run E15 --seed 11 --batch 1 --telemetry "$tmp/e15-tele" \
     --save "$tmp/e15-tele-on" > /dev/null
 if ! cmp "$tmp/e15-tele-off/E15.json" "$tmp/e15-tele-on/E15.json"; then
     echo "FAIL: telemetry-on E15 report differs from telemetry-off report" >&2
@@ -348,7 +386,7 @@ if ! cmp "$tmp/sparse/E1.json" "$tmp/service-E1.json"; then
     echo "FAIL: service-returned report differs from the CLI-saved one" >&2
     exit 1
 fi
-echo "OK: service report byte-identical to CLI run --save"
+echo "OK: service report (default batch) byte-identical to CLI run --batch 1 --save"
 
 # A fresh server over the same cache directory: the job must execute
 # zero cells (every lookup warm) and still return identical bytes.
@@ -373,9 +411,8 @@ if ! grep -q " 0 misses" "$tmp/service-status.out"; then
 fi
 echo "OK: warm service resubmit byte-identical, 100% cache hits, 0 misses"
 
-echo "== baseline gate: run all --batch 64 vs results/baseline =="
-if ! python -m repro.cli run all --batch 64 --save "$tmp/all" \
-        > "$tmp/all.out"; then
+echo "== baseline gate: run all (default batch) vs results/baseline =="
+if ! python -m repro.cli run all --save "$tmp/all" > "$tmp/all.out"; then
     echo "FAIL: run all exited non-zero (a claim check failed)" >&2
     grep -i "fail" "$tmp/all.out" >&2 || true
     exit 1
@@ -393,4 +430,4 @@ if [ "$n_saved" -ne "$n_baseline" ]; then
     echo "FAIL: run all saved $n_saved reports, results/baseline has $n_baseline" >&2
     exit 1
 fi
-echo "OK: all $n_saved reports byte-identical to results/baseline at --batch 64"
+echo "OK: all $n_saved reports byte-identical to results/baseline at the default batch"

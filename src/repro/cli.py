@@ -24,6 +24,7 @@ import time
 
 from repro._version import __version__
 from repro.experiments import RunConfig, list_experiments, run_experiment
+from repro.experiments.registry import DEFAULT_BATCH
 
 
 def _batch_size(text: str) -> int:
@@ -64,15 +65,19 @@ def build_parser() -> argparse.ArgumentParser:
              "for any N)",
     )
     run_p.add_argument(
-        "--batch", "-B", type=_batch_size, default=1, metavar="B",
-        help="trials per executor task: pack B replications into one "
-             "vectorised run_batch call (1 = one run per task; results "
+        "--batch", "-B", type=_batch_size, default=DEFAULT_BATCH,
+        metavar="B",
+        help="most trials per executor task: pack up to B replications, "
+             "across sweep cells, into one lockstep run_batch call; with "
+             "--jobs N the trials are split so all N workers get work "
+             f"(default {DEFAULT_BATCH}; 1 = one run per task; results "
              "are bit-identical for any B)",
     )
     run_p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-replication wall-clock limit; an overrunning worker "
-             "is killed and the task retried instead of wedging the sweep",
+        help="per-trial wall-clock limit (a task of k trials gets k "
+             "times it); an overrunning worker is killed and the task "
+             "retried instead of wedging the sweep",
     )
     run_p.add_argument(
         "--save", metavar="DIR",
@@ -261,9 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes (results are bit-identical for any N)",
         )
         p.add_argument(
-            "--batch", "-B", type=_batch_size, default=1, metavar="B",
-            help="trials per executor task (results are bit-identical "
-                 "for any B)",
+            "--batch", "-B", type=_batch_size, default=DEFAULT_BATCH,
+            metavar="B",
+            help=f"most trials per executor task (default {DEFAULT_BATCH}; "
+                 "results are bit-identical for any B)",
         )
         p.add_argument(
             "--telemetry", nargs="?", const="", default=None, metavar="DIR",
@@ -327,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
              "per core, 1 = serial)",
     )
     serve_p.add_argument(
-        "--batch", "-B", type=_batch_size, default=1, metavar="B",
-        help="trials per executor task (results are bit-identical for "
-             "any B)",
+        "--batch", "-B", type=_batch_size, default=DEFAULT_BATCH,
+        metavar="B",
+        help=f"most trials per executor task (default {DEFAULT_BATCH}; "
+             "results are bit-identical for any B)",
     )
     serve_p.add_argument(
         "--cache-dir", metavar="DIR", default=None,

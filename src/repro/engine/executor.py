@@ -115,8 +115,9 @@ class ExecutorStats:
     def batch_fill_rate(self) -> float:
         """Fraction of offered batch slots actually filled with trials.
 
-        Below 1.0 when cache hits thinned a chunk or the trial count did
-        not divide evenly into the configured batch size.
+        A call offers its group size (the batch cap, lowered by the
+        ``-j`` split) per group, so this is below 1.0 when a call's
+        cache misses did not divide evenly into its groups.
         """
         return (
             self.batch_trials / self.batch_capacity if self.batch_capacity else 0.0

@@ -163,6 +163,23 @@ class BatchResult:
         return np.array([r.truncated for r in self.results], dtype=bool)
 
 
+def _plans_per_trial(cls) -> bool:
+    """Whether ``cls`` overrides ``plan_phase`` below its nearest
+    ``plan_phase_batch`` in the MRO.
+
+    That batch form was written for a parent's ``plan_phase`` and would
+    skip the override, so the lockstep loop plans such a class through
+    the medium's ``adversary_base.plan_phase_batch``, which loops
+    ``plan_phase`` per trial.
+    """
+    for klass in cls.__mro__:
+        if "plan_phase_batch" in vars(klass):
+            return False
+        if "plan_phase" in vars(klass):
+            return True
+    return True
+
+
 class SingleChannel:
     """The paper's medium: one shared channel, resolved on real slots.
 
@@ -179,7 +196,7 @@ class SingleChannel:
       slot, and the lockstep loop skips the resolver's own half-duplex
       pass.  One channel needs neither.
     * The adversary side: ``adversary_base`` (the strategy interface;
-      the heterogeneous-batch fallback and the ``observe_outcome``
+      the per-trial planning fallback and the ``observe_outcome``
       override check key off it), :meth:`begin_run` and
       :meth:`context`.
     * The resolver side: the resolver and ledger see
@@ -258,7 +275,7 @@ class Simulator:
         """Play one execution and return its :class:`RunResult`."""
         return self._run(seed, self.adversary)
 
-    def run_batch(self, seeds, *, make_adversary=None) -> BatchResult:
+    def run_batch(self, seeds, *, adversaries=None) -> BatchResult:
         """Play B independent trials as one stacked computation.
 
         Trial ``t`` is bit-identical to :meth:`run` ``(seeds[t])`` on
@@ -277,9 +294,12 @@ class Simulator:
         ----------
         seeds:
             One rng seed per trial.
-        make_adversary:
-            Optional zero-argument factory building each trial's
-            adversary.  By default every trial gets a ``copy.deepcopy``
+        adversaries:
+            Optional sequence of fresh adversary instances, one per
+            seed: trial ``t`` plays against ``adversaries[t]``, so the
+            trials of one batch may face different strategies (a sweep
+            whose cells differ only in their adversary runs as one
+            batch).  By default every trial gets a ``copy.deepcopy``
             of the simulator's adversary.  The batch always drives the
             simulator's own protocol.  Both are equivalent to fresh
             instances for every protocol/adversary in the repo, whose
@@ -292,7 +312,7 @@ class Simulator:
         BatchResult
             Per-trial :class:`RunResult` views plus stacked arrays.
         """
-        return self._run_batch(seeds, make_adversary)
+        return self._run_batch(seeds, adversaries)
 
     def _run(self, seed, adversary) -> RunResult:
         """The scalar phase loop behind every engine's ``run`` and
@@ -427,7 +447,7 @@ class Simulator:
             node_listen_costs=ledger.listen_costs,
         )
 
-    def _run_batch(self, seeds, make_adversary) -> BatchResult:
+    def _run_batch(self, seeds, adversaries) -> BatchResult:
         """The lockstep phase loop behind every engine's ``run_batch``.
 
         The protocol holds every trial's state as arrays with a leading
@@ -451,13 +471,16 @@ class Simulator:
         and is rejected only for more than one trial.
         """
         seeds = list(seeds)
+        if adversaries is None:
+            adversaries = [copy.deepcopy(self.adversary) for _ in seeds]
+        else:
+            adversaries = list(adversaries)
+            if len(adversaries) != len(seeds):
+                raise ConfigurationError(
+                    f"{len(adversaries)} adversaries for {len(seeds)} seeds"
+                )
         if not seeds:
             return BatchResult(results=(), seeds=())
-        adversaries = [
-            make_adversary() if make_adversary is not None
-            else copy.deepcopy(self.adversary)
-            for _ in seeds
-        ]
         if len(seeds) == 1:
             result = self._run(seeds[0], adversaries[0])
             return BatchResult(results=(result,), seeds=tuple(seeds))
@@ -472,8 +495,10 @@ class Simulator:
         n_nodes = protocol.n_nodes
         base = medium.adversary_base
         adv_type = type(adversaries[0])
-        if any(type(a) is not adv_type for a in adversaries):
-            adv_type = base  # heterogeneous batch: per-trial loop
+        if any(
+            type(a) is not adv_type for a in adversaries
+        ) or _plans_per_trial(adv_type):
+            adv_type = base  # per-trial loop over plan_phase
         # Outcome feedback is an opt-in hook; when nobody overrides it,
         # skip materialising per-trial PhaseOutcome views entirely.
         observe_hooked = any(

@@ -15,6 +15,7 @@ from repro.experiments.runner import Table
 from repro.telemetry.sink import get_sink, session
 
 __all__ = [
+    "DEFAULT_BATCH",
     "Experiment",
     "ExperimentReport",
     "RUNTIME_NOTE_PREFIX",
@@ -36,6 +37,10 @@ SCHEMA_VERSION = 2
 #: the same seed stay byte-identical on disk.
 RUNTIME_NOTE_PREFIX = "[runtime]"
 
+#: Default cap on trials per executor task (:attr:`RunConfig.batch`),
+#: shared by the CLI's ``--batch`` and the sweep service.
+DEFAULT_BATCH = 64
+
 
 @dataclass
 class RunConfig:
@@ -56,19 +61,22 @@ class RunConfig:
         Worker processes for replication fan-out (``1`` = serial,
         ``0``/negative = one per core).
     batch:
-        Most trials per executor task.  Every sweep runs its cache
-        misses as :meth:`~repro.engine.simulator.Simulator.run_batch`
-        groups of up to this many trials from one sweep cell; ``1``
-        gives one-trial groups, which the engine plays through its
-        scalar loop, and larger values amortise per-phase Python
-        overhead across a lockstep batch.  Like ``jobs``, this is an
-        execution knob: any value produces byte-identical reports.
-        Values below 1 raise
+        Most trials per executor task (default :data:`DEFAULT_BATCH`).
+        Every sweep runs its cache misses as
+        :meth:`~repro.engine.simulator.Simulator.run_batch` groups of
+        up to this many trials, which span the sweep's cells; with
+        ``jobs > 1`` a group holds at most ``ceil(misses / jobs)``
+        trials, so every worker gets one.  ``1`` gives one-trial
+        groups, which the engine plays through its scalar loop, and
+        larger values amortise per-phase Python overhead across a
+        lockstep batch.  Like ``jobs``, this is an execution knob: any
+        value produces byte-identical reports.  Values below 1 raise
         :class:`~repro.errors.ConfigurationError` at construction.
     timeout:
-        Per-task wall-clock limit in seconds, a finite number > 0
-        (``None`` = no limit).  A task that times out, or whose worker
-        crashes, is retried once before the run fails.
+        Per-trial wall-clock limit in seconds, a finite number > 0
+        (``None`` = no limit).  A task of ``k`` trials gets ``k`` times
+        this budget; one that times out, or whose worker crashes, is
+        retried once before the run fails.
     cache:
         Enable the content-addressed result cache
         (:mod:`repro.cache`): completed ``(point, replication)`` cells
@@ -114,7 +122,7 @@ class RunConfig:
     seed: int = 0
     quick: bool = True
     jobs: int = 1
-    batch: int = 1
+    batch: int = DEFAULT_BATCH
     timeout: float | None = None
     cache: bool = field(default=False, compare=False)
     cache_dir: "str | Path | None" = field(default=None, compare=False)

@@ -1,9 +1,9 @@
 """Shared experiment machinery: tables, replication, jam sweeps.
 
 ``replicate``, ``mc_replicate`` and ``sweep_epoch_targets`` share one
-body: a sweep is a list of cells, and each cell's trials run as
-``run_batch`` tasks of up to ``config.batch`` trials, fanned out through
-:mod:`repro.engine.executor`; pass a
+body: a sweep is a list of cells, and the cells' trials run as
+``run_batch`` tasks of up to ``config.batch`` trials (groups span cell
+bounds), fanned out through :mod:`repro.engine.executor`; pass a
 :class:`~repro.experiments.registry.RunConfig` via ``config=`` to run
 them on several worker processes.  Seeds are derived per trial from
 indices fixed before execution starts, so serial, parallel and batched
@@ -12,11 +12,11 @@ runs are bit-identical.
 With ``config.cache`` enabled, every task is first looked up in the
 content-addressed result cache (:mod:`repro.cache`) by a fingerprint of
 its protocol, adversary, simulator options, and derived seed; hits are
-served from disk and misses are written back as they complete, so an
-interrupted sweep resumes from its finished cells on the next identical
-invocation.  Tasks whose inputs cannot be canonically fingerprinted
-(callable predicates, trace recorders, history-keeping runs) simply
-execute uncached.
+served from disk and misses are written back as their group completes,
+so an interrupted sweep resumes from its finished groups on the next
+identical invocation.  Tasks whose inputs cannot be canonically
+fingerprinted (callable predicates, trace recorders, history-keeping
+runs) simply execute uncached.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.adversaries.base import Adversary
-from repro.engine.executor import run_tasks
+from repro.engine.executor import resolve_jobs, run_tasks
 from repro.engine.simulator import RunResult, Simulator
 from repro.errors import ConfigurationError
 from repro.protocols.base import Protocol
@@ -173,25 +173,37 @@ def _group_keys(base: dict | None, make_adversary, seed_paths) -> list:
     return [task_key(with_adv, path) for path in seed_paths]
 
 
-def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> list:
+def _group_size(config, n_misses: int) -> int:
+    """Trials per ``run_batch`` group for ``n_misses`` cache misses.
+
+    Up to ``config.batch`` (the cap), and with ``jobs > 1`` (0 resolved
+    to the core count) no more than ``ceil(n_misses / jobs)``, so the
+    misses still split over every worker.  ``config=None`` gives
+    one-trial groups.
+    """
+    if config is None or n_misses == 0:
+        return 1
+    return min(config.batch, -(-n_misses // resolve_jobs(config.jobs)))
+
+
+def _dispatch_batched(make_group_task, keys, config, store) -> list:
     """Serve cache hits and run the misses as ``run_batch`` groups.
 
-    ``spans`` are ``(start, stop)`` trial-index ranges that may share
-    one ``run_batch`` task — one span per sweep cell, since a batch is
-    built from a single pair of factories.  Cache hits are served
-    individually; the remaining misses of each span are chunked into
-    groups of at most ``batch`` trials and each group runs as one
-    executor task (at ``batch=1``, one trial per task).  Every
-    cacheable trial still writes its *own* entry back from inside the
-    worker, so batching changes neither the cache granularity nor
-    resumability — and because each trial's rng streams are independent
-    of batch composition, a chunk thinned by cache hits produces the
-    same bits as a full one.  ``config`` may be ``None`` (serial,
-    uncached).
+    Cache hits are served individually; the remaining misses are
+    chunked in trial order, across cell bounds, into groups of
+    :func:`_group_size` trials, and each group runs as one executor
+    task (at ``batch=1``, one trial per task).  ``config.timeout`` is a
+    per-trial budget, so ``run_tasks`` gets it times the largest
+    group's trial count.  Every cacheable trial still writes its *own*
+    entry back from inside the worker once its group completes, so
+    batching changes neither the cache granularity nor resumability —
+    and because each trial's rng streams are independent of batch
+    composition, a chunk thinned by cache hits produces the same bits
+    as a full one.  ``config`` may be ``None`` (serial, uncached).
     """
     kwargs = _executor_kwargs(config)
     stats = kwargs.get("stats")
-    n = spans[-1][1] if spans else 0
+    n = len(keys)
     results: list = [None] * n
 
     hits: dict = {}
@@ -201,16 +213,14 @@ def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> lis
         if keyed:
             hits, bytes_read = store.get_many(keyed)
 
-    groups: list[list[int]] = []
-    for start, stop in spans:
-        miss = [
-            i for i in range(start, stop)
-            if keys[i] is None or keys[i] not in hits
-        ]
-        groups.extend(miss[j : j + batch] for j in range(0, len(miss), batch))
+    miss = [i for i in range(n) if keys[i] is None or keys[i] not in hits]
+    size = _group_size(config, len(miss))
+    groups = [miss[j : j + size] for j in range(0, len(miss), size)]
     for i in range(n):
         if keys[i] is not None and keys[i] in hits:
             results[i] = hits[keys[i]]
+    if kwargs.get("timeout") is not None and groups:
+        kwargs["timeout"] *= max(map(len, groups))
 
     def wrap(group):
         task = make_group_task(group)
@@ -237,16 +247,15 @@ def _dispatch_batched(spans, make_group_task, keys, config, store, batch) -> lis
         for i, v in zip(group, values):
             results[i] = v
 
-    n_trials_run = sum(len(g) for g in groups)
     if stats is not None:
         stats.batch_tasks += len(groups)
-        stats.batch_trials += n_trials_run
-        stats.batch_capacity += len(groups) * batch
+        stats.batch_trials += len(miss)
+        stats.batch_capacity += len(groups) * size
     if store is not None and any(k is not None for k in keys):
         n_hits = sum(
             1 for k in keys if k is not None and k in hits
         )
-        n_misses = sum(1 for g in groups for i in g if keys[i] is not None)
+        n_misses = sum(1 for i in miss if keys[i] is not None)
         if stats is not None:
             stats.cache_hits += n_hits
             stats.cache_misses += n_misses
@@ -282,7 +291,7 @@ def replicate(
     ``config`` is an optional
     :class:`~repro.experiments.registry.RunConfig` supplying the
     executor options (jobs, batch, timeout); ``None`` runs serially
-    in-process.  Replications run as
+    in-process, one trial per task.  Replications run as
     :meth:`~repro.engine.simulator.Simulator.run_batch` tasks of up to
     ``config.batch`` trials — bit-identical results, per-trial cache
     entries, at every batch size.  ``sim_kwargs`` go to the engine
@@ -352,14 +361,15 @@ def _run_cells(
 
     A sweep is a list of *cells* ``(make_adversary, seed_paths)``:
     trial ``i`` of a cell plays ``derive(*seed_paths[i])`` against a
-    fresh ``make_adversary()``.  ``engine(protocol, adversary,
+    fresh ``make_adversary()``.  The cells' cache misses are grouped
+    across cell bounds, and each trial keeps its own cell's adversary,
+    seed path and cache key.  ``engine(protocol, adversary,
     **sim_kwargs)`` builds each task's simulator, and the task plays
     its group through ``run_batch`` on that simulator's freshly built
     protocol — the engine, not this function, picks the loop for the
     group's trial count.  The cache fingerprint covers ``kind`` and
     the engine options, ``sim_kwargs`` plus ``key_options``.
     """
-    batch = config.batch if config is not None else 1
     store = config.resolve_cache_store() if config is not None else None
     base = _fingerprint_base(
         config, store, kind, make_protocol, dict(sim_kwargs, **key_options)
@@ -371,21 +381,22 @@ def _run_cells(
         trials += [(make_adversary, path) for path in paths]
 
     def make_group_task(group: list[int]) -> Callable[[], list[RunResult]]:
-        make_adversary = trials[group[0]][0]
+        factories = [trials[i][0] for i in group]
         paths = [trials[i][1] for i in group]
 
         def task() -> list[RunResult]:
-            sim = engine(make_protocol(), make_adversary(), **sim_kwargs)
+            adversaries = [make() for make in factories]
+            sim = engine(make_protocol(), adversaries[0], **sim_kwargs)
             return list(
                 sim.run_batch(
                     [derive(*path) for path in paths],
-                    make_adversary=make_adversary,
+                    adversaries=adversaries,
                 )
             )
 
         return task
 
-    flat = _dispatch_batched(spans, make_group_task, keys, config, store, batch)
+    flat = _dispatch_batched(make_group_task, keys, config, store)
     return [flat[start:stop] for start, stop in spans]
 
 
@@ -444,8 +455,6 @@ def sweep_epoch_targets(
     if n_reps < 1:
         raise ConfigurationError(f"n_reps must be >= 1, got {n_reps}")
     targets = list(targets)
-    # One cell per target: batches never straddle targets, since one
-    # run_batch call uses one adversary factory.
     cells = [
         (
             functools.partial(make_adversary, t),

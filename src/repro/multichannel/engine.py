@@ -176,11 +176,11 @@ class MCSimulator(Simulator):
         """Play one multichannel execution (see :meth:`Simulator.run`)."""
         return self._run(seed, self.adversary)
 
-    def run_batch(self, seeds, *, make_adversary=None) -> BatchResult:
+    def run_batch(self, seeds, *, adversaries=None) -> BatchResult:
         """Play B multichannel trials in lockstep, each bit-identical to
         :meth:`run` on fresh instances (see :meth:`Simulator.run_batch`).
         """
-        return self._run_batch(seeds, make_adversary)
+        return self._run_batch(seeds, adversaries)
 
 
 def mc_run(

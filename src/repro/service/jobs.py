@@ -42,6 +42,7 @@ from pathlib import Path
 from repro.engine.executor import WorkerPool
 from repro.errors import ConfigurationError, ServiceError
 from repro.experiments.registry import (
+    DEFAULT_BATCH,
     RunConfig,
     get_experiment,
     run_experiment,
@@ -167,7 +168,7 @@ class JobManager:
         self,
         *,
         jobs: int = 1,
-        batch: int = 1,
+        batch: int = DEFAULT_BATCH,
         cache_dir: str | Path | None = None,
         telemetry_root: str | Path | None = None,
         memory_entries: int | None = None,

@@ -163,7 +163,8 @@ class TestSweepResume:
         assert grown_cfg.stats.cache_hits == 3  # all of T1
         assert grown_cfg.stats.cache_misses == 3  # all of T2
 
-    def test_aborted_sweep_resumes(self, tmp_path):
+    @staticmethod
+    def abort_then_resume(tmp_path, batch):
         def flaky_sweep(config):
             return sweep_epoch_targets(
                 lambda: OneToOneBroadcast(PARAMS),
@@ -177,17 +178,29 @@ class TestSweepResume:
         FlakyJammer.BOOM_TARGETS = frozenset({T2})
         try:
             with pytest.raises(Exception, match="boom"):
-                flaky_sweep(cache_config(tmp_path))
+                flaky_sweep(cache_config(tmp_path, batch=batch))
         finally:
             FlakyJammer.BOOM_TARGETS = frozenset()
 
         # The T1 cells completed before the abort and were checkpointed;
         # the re-run serves them warm and computes only T2.
-        resumed_cfg = cache_config(tmp_path)
+        resumed_cfg = cache_config(tmp_path, batch=batch)
         points = flaky_sweep(resumed_cfg)
         assert len(points) == 2
         assert resumed_cfg.stats.cache_hits == 3
         assert resumed_cfg.stats.cache_misses == 3
+
+    def test_aborted_sweep_resumes(self, tmp_path):
+        # The checkpoint unit is the group; one-trial groups checkpoint
+        # every T1 trial before the first T2 trial raises.
+        self.abort_then_resume(tmp_path, batch=1)
+
+    def test_aborted_sweep_resumes_from_lockstep_groups(self, tmp_path):
+        # Groups of 3 line up with the two 3-trial cells: the T1 group
+        # is checkpointed before the T2 group raises.  The T2 group
+        # plays the lockstep loop, which must plan FlakyJammer through
+        # its own plan_phase, not EpochTargetJammer.plan_phase_batch.
+        self.abort_then_resume(tmp_path, batch=3)
 
     def test_sweep_results_bit_identical(self, tmp_path):
         cold = run_sweep(cache_config(tmp_path), [T1, T2])

@@ -124,7 +124,7 @@ class TestRunBatchDifferential:
         seeds = [0, 1, 2]
         serial = serial_reference(mk_protocol, mk_adversary, seeds)
         batch = Simulator(mk_protocol(), mk_adversary()).run_batch(
-            seeds, make_adversary=mk_adversary
+            seeds, adversaries=[mk_adversary() for _ in seeds]
         )
         assert len(batch) == len(seeds)
         for got, want in zip(batch, serial):
@@ -134,7 +134,7 @@ class TestRunBatchDifferential:
         mk_a = lambda: SuffixJammer(0.6)  # noqa: E731
         seeds = [5, 6, 7]
         with_factories = Simulator(mk_one_to_one(), mk_a()).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         defaulted = run_batch(mk_one_to_one(), mk_a(), seeds)
         for got, want in zip(defaulted, with_factories):
@@ -149,7 +149,7 @@ class TestRunBatchDifferential:
         mk_a = lambda: QBlockingJammer(q)  # noqa: E731
         serial = serial_reference(mk_one_to_one, mk_a, seeds)
         batch = Simulator(mk_one_to_one(), mk_a()).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -163,7 +163,7 @@ class TestRunBatchDifferential:
         serial = serial_reference(mk_one_to_n, mk_a, seeds)
         assert len({r.phases for r in serial}) > 1  # they really stagger
         batch = Simulator(mk_one_to_n(), mk_a()).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -194,6 +194,54 @@ class TestRunBatchDifferential:
     def test_empty_batch(self):
         batch = Simulator(mk_one_to_one(), SilentAdversary()).run_batch([])
         assert len(batch) == 0 and list(batch) == []
+
+    def test_adversaries_must_match_seeds(self):
+        sim = Simulator(mk_one_to_one(), SilentAdversary())
+        with pytest.raises(ConfigurationError, match="2 adversaries for 3"):
+            sim.run_batch(
+                [0, 1, 2], adversaries=[SilentAdversary(), SilentAdversary()]
+            )
+
+
+class QuarterEpochJammer(EpochTargetJammer):
+    """Overrides only ``plan_phase`` (another ``q``) on a jammer whose
+    ``plan_phase_batch`` is batched."""
+
+    def plan_phase(self, ctx):
+        want, group = self._want_and_group(ctx)
+        if want == 0:
+            return JamPlan.silent(ctx.length)
+        return JamPlan.suffix(ctx.length, ctx.length // 4, group=group)
+
+
+class TestSubclassPlanPhase:
+    """The lockstep loop plans a subclass through its own
+    ``plan_phase`` when it overrides that below the nearest
+    ``plan_phase_batch``."""
+
+    def test_run_batch_matches_run(self):
+        target = P11.first_epoch + 2
+        mk_a = lambda: QuarterEpochJammer(  # noqa: E731
+            target, q=1.0, target_listener=True
+        )
+        seeds = [0, 1, 2]
+        serial = serial_reference(mk_one_to_one, mk_a, seeds)
+        parent = serial_reference(
+            mk_one_to_one,
+            lambda: EpochTargetJammer(target, q=1.0, target_listener=True),
+            seeds,
+        )
+        # The override changes the science, so planning through the
+        # parent's batch form would show.
+        assert [r.adversary_cost for r in serial] != [
+            r.adversary_cost for r in parent
+        ]
+        batch = Simulator(mk_one_to_one(), mk_a()).run_batch(
+            seeds, adversaries=[mk_a() for _ in seeds]
+        )
+        assert [result_json(r) for r in batch] == [
+            result_json(r) for r in serial
+        ]
 
 
 class TestBatchResultApi:
@@ -381,7 +429,9 @@ class TestBatchedDrivers:
         reference = replicate(mk_one_to_one, mk_a, 6, seed=9)
 
         # Warm the store with a serial run of the first 3 replications.
-        warm = RunConfig(cache=True, cache_dir=tmp_path, experiment="TB")
+        warm = RunConfig(
+            cache=True, cache_dir=tmp_path, batch=1, experiment="TB"
+        )
         replicate(mk_one_to_one, mk_a, 3, seed=9, config=warm)
 
         # A batched run over all 6 must serve the 3 warm entries as
@@ -415,7 +465,7 @@ class TestMultichannelBatch:
             MCSimulator(mk_one_to_one(), mk_a(), 2).run(s) for s in seeds
         ]
         batch = MCSimulator(mk_one_to_one(), mk_a(), 2).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         assert isinstance(batch, BatchResult)
         for got, want in zip(batch, serial):
@@ -452,7 +502,7 @@ def test_simulator_resolver_independent_of_batching(dense_oracle):
     with dense_oracle() as calls:
         serial = [Simulator(mk_one_to_one(), mk_a()).run(s) for s in seeds]
         batch = Simulator(mk_one_to_one(), mk_a()).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
     assert calls["run"] > 0 and calls["run_batch"] > 0
     for got, want in zip(batch, serial):

@@ -122,7 +122,7 @@ def batch_vs_oracle(mk_protocol, mk_adversary, seeds, **sim_kwargs):
     ]
     batch = Simulator(
         mk_protocol(), mk_adversary(), **sim_kwargs
-    ).run_batch(seeds, make_adversary=mk_adversary)
+    ).run_batch(seeds, adversaries=[mk_adversary() for _ in seeds])
     assert len(batch) == len(oracle)
     for got, want in zip(batch, oracle):
         assert result_json(got) == result_json(want)
@@ -153,7 +153,7 @@ class TestZooBitIdentity:
             Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run(s) for s in seeds
         ]
         batch = Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)
@@ -301,7 +301,7 @@ class TestSummaryBatch:
             Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run(s) for s in seeds
         ]
         batch = Simulator(mk_protocol(), mk_a(), **GRID_CAPS).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         for got, want in zip(batch, serial):
             assert json.dumps(got.stats, sort_keys=True, default=str) == \
@@ -351,7 +351,7 @@ class TestSerialCloneFallback:
         seeds = [0, 1, 2, 3]
         serial = [Simulator(mk_p(), mk_a()).run(s) for s in seeds]
         batch = Simulator(mk_p(), mk_a()).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         for got, want in zip(batch, serial):
             assert result_json(got) == result_json(want)

@@ -74,8 +74,10 @@ def assert_same_result(got: RunResult, want: RunResult) -> None:
 @MEDIA
 @pytest.mark.parametrize("factories", [False, True], ids=["own", "factories"])
 def test_equals_run_on_fresh_instances(medium, factories):
-    kwargs = {"make_adversary": medium.make_adversary} if factories else {}
     for seed in (3, 11):
+        kwargs = (
+            {"adversaries": [medium.make_adversary()]} if factories else {}
+        )
         want = medium.sim(keep_history=True).run(seed)
         (got,) = medium.sim(keep_history=True).run_batch([seed], **kwargs)
         assert want.phase_history  # the comparison covers a real history

@@ -2,8 +2,8 @@
 baselines in ``results/baseline/``.
 
 ``scripts/check_parallel_determinism.sh`` compares all 23 reports at
-batch 64; this runs the 14 that take seconds in the unit suite.  E15 is
-also run at batch 1, the one-trial-group path the CLI default takes.
+the default batch (64); this runs the 14 that take seconds in the unit
+suite.  E15 is also run at batch 1, the one-trial-group path.
 The 1-to-n experiments (E6-E10, E12, E13, A3, A6) are left to the CI
 script until they are cheap enough for every test run.
 """

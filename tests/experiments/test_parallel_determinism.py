@@ -49,6 +49,24 @@ def test_parallel_run_records_executor_stats():
     )
 
 
+@pytest.mark.parametrize("backend", ["process", "pool"])
+def test_jobs_split_default_batch_over_workers(backend):
+    # At the default batch, E4's 20 trials would fit one group; -j 2
+    # splits them so both workers get a group.
+    from repro.engine.executor import WorkerPool
+
+    with WorkerPool(2) as pool:
+        cfg = RunConfig(
+            seed=3, quick=True, jobs=2,
+            pool=pool if backend == "pool" else None,
+        )
+        report = run_experiment("E4", cfg)
+    assert cfg.stats.tasks >= 2
+    assert cfg.stats.backend == backend
+    serial = run_experiment("E4", RunConfig(seed=3, quick=True, batch=1))
+    assert canonical(report) == canonical(serial)
+
+
 def test_replicate_identical_across_jobs():
     from repro.adversaries.basic import SilentAdversary
     from repro.protocols.one_to_one import OneToOneBroadcast, OneToOneParams

@@ -87,14 +87,17 @@ class TestJobManager:
             assert record.submissions == 8
             assert mgr.executed == 1
             assert mgr.deduped == 7
-            # executor accounting: exactly one task set ran
+            # executor accounting: exactly one task set ran; cache
+            # counts are per trial, and a task runs a group of trials
+            trials = record.stats["batch_trials"]
             assert record.stats["tasks"] > 0
-            assert record.stats["cache_misses"] == record.stats["tasks"]
+            assert trials >= record.stats["tasks"]
+            assert record.stats["cache_misses"] == trials
             assert record.stats["cache_hits"] == 0
             # cache accounting: every cell was put exactly once
             disk = mgr.store.stats()
-            assert disk.entries == record.stats["tasks"]
-            assert disk.unique_keys == record.stats["tasks"]
+            assert disk.entries == trials
+            assert disk.unique_keys == trials
 
     def test_warm_manager_over_same_cache_executes_zero_cells(self, tmp_path):
         # A *fresh* manager (new process, in spirit) over the same
@@ -104,7 +107,7 @@ class TestJobManager:
         with JobManager(cache_dir=tmp_path / "cache") as mgr2:
             warm = mgr2.wait(mgr2.submit(JobSpec("E1", seed=11)).job_id, 120)
         assert warm.result_bytes == cold.result_bytes
-        assert warm.stats["cache_hits"] == cold.stats["tasks"]
+        assert warm.stats["cache_hits"] == cold.stats["batch_trials"]
         assert warm.stats["cache_misses"] == 0
         assert warm.stats["backend"] == ""  # no executor batch went wide
 

@@ -53,8 +53,13 @@ class TestRunWithTelemetry:
 class TestTelemetryCommand:
     @pytest.fixture()
     def recorded(self, tmp_path, capsys):
+        # One-trial groups: every trial takes the scalar loop, whose
+        # spans are ``sim.run``.
         tele = tmp_path / "tele"
-        main(["run", "E1", "--seed", "11", "--telemetry", str(tele)])
+        main(
+            ["run", "E1", "--seed", "11", "--batch", "1",
+             "--telemetry", str(tele)]
+        )
         capsys.readouterr()
         return tele
 
@@ -72,6 +77,20 @@ class TestTelemetryCommand:
         )
         assert "experiment.run" in out
         assert "run.start" in out
+
+    def test_summarize_default_batch_shows_lockstep_stages(
+        self, tmp_path, capsys
+    ):
+        tele = tmp_path / "tele"
+        assert main(
+            ["run", "E1", "--seed", "11", "--telemetry", str(tele)]
+        ) == 0
+        assert main(["telemetry", "summarize", "--dir", str(tele)]) == 0
+        out = capsys.readouterr().out
+        assert any(  # E1's one lockstep group, as a stages-table row
+            line.split()[:2] == ["sim.run_batch", "resolve"]
+            for line in out.splitlines()
+        )
 
     def test_summarize_specific_run_id(self, recorded, capsys):
         (run_dir,) = find_runs(recorded)

@@ -103,7 +103,7 @@ class TestMCDifferential:
         sim = MCSimulator(
             mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
         )
-        batch = sim.run_batch(seeds, make_adversary=mk_a)
+        batch = sim.run_batch(seeds, adversaries=[mk_a() for _ in seeds])
         serial = [
             MCSimulator(
                 mk_p(), mk_a(), C, max_slots=100_000, keep_history=True
@@ -126,7 +126,7 @@ class TestMCDifferential:
         for mk_adv in (mk_a, mk_b):
             sim = MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000)
             batch = sim.run_batch(
-                seeds, make_adversary=mk_adv
+                seeds, adversaries=[mk_adv() for _ in seeds]
             )
             serial = [
                 MCSimulator(mk_cz(), mk_adv(), C, max_slots=50_000).run(s)
@@ -146,7 +146,7 @@ class TestMCDifferential:
         mk_a = lambda: zoo[next(calls) % len(zoo)]()  # noqa: E731
         seeds = [1, 2, 3]
         sim = MCSimulator(mk_cz(), zoo[0](), C, max_slots=50_000)
-        batch = sim.run_batch(seeds, make_adversary=mk_a)
+        batch = sim.run_batch(seeds, adversaries=[mk_a() for _ in seeds])
         serial = []
         for i, s in enumerate(seeds):
             serial.append(
@@ -160,11 +160,11 @@ class TestMCDifferential:
         mk_a = ADVERSARIES["fraction"]
         seeds = [3, 4]
         sparse = MCSimulator(mk_cz(), mk_a(), C, max_slots=20_000).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         with dense_oracle() as calls:
             dense = MCSimulator(mk_cz(), mk_a(), C, max_slots=20_000).run_batch(
-                seeds, make_adversary=mk_a
+                seeds, adversaries=[mk_a() for _ in seeds]
             )
         assert calls["run_batch"] > 0
         assert_identical(dense, list(sparse))
@@ -230,7 +230,7 @@ class TestHopRngContract:
         mk_a = lambda: FractionJammer(0.15, max_total=2000)  # noqa: E731
         seeds = [0, 1, 2]
         batch = MCSimulator(mk_cz(), mk_a(), C, max_slots=100_000).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         assert [int(r.node_costs.sum()) for r in batch] == PIN_NODE_TOTALS
         assert [r.adversary_cost for r in batch] == PIN_ADV_COSTS
@@ -358,7 +358,7 @@ class TestRealSlotCapSemantics:
         batch = list(
             MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, keep_history=True
-            ).run_batch([3, 4], make_adversary=mk_a)
+            ).run_batch([3, 4], adversaries=[mk_a(), mk_a()])
         )
         assert len(batch) == 2
         for r in [serial, *batch]:
@@ -377,7 +377,7 @@ class TestRealSlotCapSemantics:
         with pytest.raises(BudgetExceededError) as batch_exc:
             MCSimulator(
                 mk_cz(), mk_a(), C, max_slots=L0, strict=True
-            ).run_batch([3, 3], make_adversary=mk_a)
+            ).run_batch([3, 3], adversaries=[mk_a(), mk_a()])
         assert str(serial_exc.value) == str(batch_exc.value)
 
 
@@ -449,6 +449,38 @@ class EchoJammer(MCAdversary):
         ))
 
 
+class HalfEpsFractionJammer(FractionJammer):
+    """Overrides only ``plan_phase`` (another ``eps``) on a jammer whose
+    ``plan_phase_batch`` is batched."""
+
+    def plan_phase(self, ctx):
+        return ChannelJamPlan.fraction(
+            ctx.length, ctx.n_channels, self.eps / 2
+        ).compile()
+
+
+def test_subclass_plan_phase_honoured_in_lockstep():
+    mk_a = lambda: HalfEpsFractionJammer(0.6)  # noqa: E731
+    seeds = [3, 4, 5]
+
+    def serial(make):
+        return [
+            MCSimulator(mk_cz(), make(), C, max_slots=50_000).run(s)
+            for s in seeds
+        ]
+
+    want = serial(mk_a)
+    # The override changes the science, so planning through the
+    # parent's batch form would show.
+    assert [r.adversary_cost for r in want] != [
+        r.adversary_cost for r in serial(lambda: FractionJammer(0.6))
+    ]
+    batch = MCSimulator(mk_cz(), mk_a(), C, max_slots=50_000).run_batch(
+        seeds, adversaries=[mk_a() for _ in seeds]
+    )
+    assert_identical(batch, want)
+
+
 class TestSharedLoopParity:
     """The MC engine gets outcome feedback and telemetry spans, with
     their stage clocks, from the shared phase loops."""
@@ -464,7 +496,7 @@ class TestSharedLoopParity:
             return made[-1]
 
         batch = MCSimulator(mk_cz(), EchoJammer(), C, max_slots=50_000).run_batch(
-            seeds, make_adversary=mk_a
+            seeds, adversaries=[mk_a() for _ in seeds]
         )
         serial, serial_seen = [], []
         for s in seeds:
@@ -549,7 +581,9 @@ class TestMCReplicateBatchCache:
 
         # Warm the store with a serial run of the first 3 replications —
         # the state a killed sweep leaves behind.
-        warm = RunConfig(cache=True, cache_dir=tmp_path, experiment="TMC")
+        warm = RunConfig(
+            cache=True, cache_dir=tmp_path, batch=1, experiment="TMC"
+        )
         self._replicate(3, warm)
 
         # A batched resume over all 6 must serve the 3 warm entries as
@@ -578,7 +612,9 @@ class TestMCReplicateBatchCache:
     def test_serial_warm_batched_resume_cross_driver(self, tmp_path):
         # Entries cached by one-trial groups (batch 1) must satisfy a
         # batch-2 resume byte-for-byte.
-        cfg_serial = RunConfig(cache=True, cache_dir=tmp_path, experiment="TMX")
+        cfg_serial = RunConfig(
+            cache=True, cache_dir=tmp_path, batch=1, experiment="TMX"
+        )
         first = self._replicate(5, cfg_serial)
         cfg_batch = RunConfig(
             cache=True, cache_dir=tmp_path, batch=2, experiment="TMX"

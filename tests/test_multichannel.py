@@ -452,7 +452,9 @@ class TestBatchIdentity:
             make_protocol(), make_adversary(), C, max_slots=100_000
         )
         batched = list(
-            sim.run_batch(seeds, make_adversary=make_adversary)
+            sim.run_batch(
+                seeds, adversaries=[make_adversary() for _ in seeds]
+            )
         )
         for seed, b in zip(seeds, batched):
             solo = MCSimulator(
