@@ -21,7 +21,9 @@ against serial ``run`` loops on replicate-shaped workloads and merges a
 breaks a batched E1-style replicate down by engine stage (protocol /
 sampling / adversary / resolve / accounting, read from the telemetry
 spans, with the residual loop overhead) and merges a ``batch_profile``
-section; ``--quick`` shrinks it to a smoke run for CI.
+section, plus a ``one_trial_phases`` section: the per-phase stage cost
+of ``oneone_serial``-shaped runs (Figure 1 and KSY, n=2) on the scalar
+loop; ``--quick`` shrinks both to a smoke run for CI.
 """
 
 from __future__ import annotations
@@ -105,6 +107,32 @@ def _batch_workloads():
     }
 
 
+def _one_trial_workloads():
+    """Scalar-loop runs shaped like the ``oneone_serial`` bench
+    workload: n=2, thousands of short sparse phases, one trial each."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.adversaries import EpochTargetJammer
+    from repro.protocols import KSYOneToOne, OneToOneBroadcast, OneToOneParams
+    from repro.protocols.ksy import KSYParams
+
+    fig1 = OneToOneParams.sim(epsilon=0.1)
+    ksy = KSYParams.sim()
+    return {
+        "fig1_epoch_target": (
+            lambda: OneToOneBroadcast(fig1),
+            lambda: EpochTargetJammer(
+                fig1.first_epoch + 3, q=1.0, target_listener=True
+            ),
+        ),
+        "ksy_epoch_target": (
+            lambda: KSYOneToOne(ksy),
+            lambda: EpochTargetJammer(
+                ksy.first_epoch + 3, q=1.0, target_listener=True
+            ),
+        ),
+    }
+
+
 def _mc_batch_workloads():
     """Multichannel workloads; entries carry their own simulator factory
     because ``MCSimulator`` needs ``n_channels`` at construction."""
@@ -156,10 +184,10 @@ def bench_batch(repeats: int = 3) -> int:
     Since the lockstep batched-protocol layer (``next_phase_batch`` /
     ``observe_batch``) the per-trial Python floor is gone: protocol
     state advances as stacked arrays, so replicate-shaped 1-to-1 sweeps
-    gain ~5x and event-heavy 1-to-n workloads ~2.5-3.5x; on the
+    gain ~5x and event-heavy 1-to-n workloads ~1.5-2.5x; on the
     multichannel engine (``MCSimulator.run_batch``) the E18-style
-    workload and the E15-style one, groups of 8 short Figure 1 runs,
-    gain ~2.5x.  Each timing is the best of ``repeats`` runs to damp
+    workload gains ~2.9x and the E15-style one, groups of 8 short
+    Figure 1 runs, ~1.7x.  Each timing is the best of ``repeats`` runs to damp
     scheduler noise, and every batched result is asserted equal to its
     serial twin (the bench doubles as a byte-identity check).
     """
@@ -278,9 +306,42 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
         )
         print(f"  {mode}: wall {wall:.3f}s ({parts})")
 
+    # One trial per run on the scalar loop: what each phase costs in
+    # the sampler and the resolver, in microseconds.
+    one_trial = {}
+    for name, (mk_p, mk_a) in _one_trial_workloads().items():
+        n_runs = 4 if quick else 40
+        Simulator(mk_p(), mk_a()).run(0)  # warm caches / imports
+        with tempfile.TemporaryDirectory() as tmp, session(tmp) as sink:
+            for s in range(n_runs):
+                Simulator(mk_p(), mk_a()).run(s)
+            spans = [
+                e["attrs"] for e in read_events(sink.run_dir)
+                if e.get("name") == "sim.run"
+            ]
+        phases = sum(a["phases"] for a in spans)
+        per_phase = {
+            k: round(sum(a["stages"][k] for a in spans) / phases * 1e6, 2)
+            for k in sorted(spans[0]["stages"])
+        }
+        one_trial[name] = {
+            "runs": n_runs,
+            "phases": phases,
+            "events_per_phase": round(
+                sum(a["events"] for a in spans) / phases, 1
+            ),
+            "stage_us_per_phase": per_phase,
+        }
+        print(
+            f"  one-trial {name}: {phases} phases, sampling "
+            f"{per_phase['sampling']:.1f} us/phase, resolve "
+            f"{per_phase['resolve']:.1f} us/phase"
+        )
+
     if write:
         record = json.loads(OUT.read_text()) if OUT.exists() else {}
         record["batch_profile"] = {"e1_style_one_to_one": section}
+        record["one_trial_phases"] = one_trial
         record["machine"] = _machine()
         OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {OUT}")

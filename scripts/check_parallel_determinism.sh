@@ -11,6 +11,11 @@
 #    E1, E15 and E18 reports byte-identical with the dense oracle
 #    patched into both phase loops, E1 at batch 1, at batch 8 and with
 #    -j 2, E15 and E18 at batch 8).
+# 3b. Runs `repro-bcast trace --seed 7` and `trace --seed 11 --jam 0.5`
+#    twice each: a traced scalar run whose every phase is replayed
+#    through `resolve_phase` (the one-trial call of the sparse kernel)
+#    and the dense oracle.  Each must exit 0, report a positive
+#    `phases exact` count, and print byte-identical stdout both times.
 # The CLI's --batch defaults to 64 (a cap on trials per task, in
 # lockstep groups that span a sweep's cells).  The pair gates below
 # pass --batch 1 on the runs they compare, so each pair compares the
@@ -97,9 +102,27 @@ python -m pytest -q -m cache "$@"
 echo "== engine suite (pytest -m engine) =="
 python -m pytest -q -m engine "$@"
 
-echo "== CLI byte-identity: repro-bcast run E4 vs run E4 -j 2 =="
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+echo "== trace replay audit: repro-bcast trace (sparse vs dense resolver) =="
+for args in "--seed 7" "--seed 11 --jam 0.5"; do
+    read -ra argv <<< "$args"
+    python -m repro.cli trace "${argv[@]}" > "$tmp/trace-a.out"
+    python -m repro.cli trace "${argv[@]}" > "$tmp/trace-b.out"
+    if ! grep -Eq "replay audit: [1-9][0-9]* phases exact" "$tmp/trace-a.out"; then
+        echo "FAIL: trace $args replayed no phase exactly" >&2
+        cat "$tmp/trace-a.out" >&2
+        exit 1
+    fi
+    if ! cmp "$tmp/trace-a.out" "$tmp/trace-b.out"; then
+        echo "FAIL: trace $args output differs between two runs" >&2
+        exit 1
+    fi
+    echo "OK: trace $args: $(grep -Eo "[0-9]+ phases exact" "$tmp/trace-a.out"), stdout byte-identical"
+done
+
+echo "== CLI byte-identity: repro-bcast run E4 vs run E4 -j 2 =="
 python -m repro.cli run E4 --seed 11 --batch 1 --save "$tmp/serial" > /dev/null
 python -m repro.cli run E4 --seed 11 --batch 1 -j 2 --save "$tmp/parallel" \
     > /dev/null

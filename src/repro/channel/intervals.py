@@ -214,15 +214,19 @@ class SlotSet:
     # -- vectorised queries ------------------------------------------
 
     def contains(self, slots) -> np.ndarray:
-        """Boolean membership per query slot — O(#queries log #intervals)."""
+        """Boolean membership per query slot — O(#queries log #intervals):
+        a member has an odd number of the bounds ``[s0, e0, s1, ...]``
+        at or below it."""
         slots = np.asarray(slots, dtype=np.int64)
-        out = np.zeros(slots.shape, dtype=bool)
         if len(self.starts) == 0:
-            return out
-        idx = np.searchsorted(self.starts, slots, side="right") - 1
-        ok = idx >= 0
-        out[ok] = slots[ok] < self.ends[idx[ok]]
-        return out
+            return np.zeros(slots.shape, dtype=bool)
+        bounds = self.__dict__.get("_bounds")
+        if bounds is None:
+            bounds = np.empty(2 * len(self.starts), dtype=np.int64)
+            bounds[0::2] = self.starts
+            bounds[1::2] = self.ends
+            object.__setattr__(self, "_bounds", bounds)
+        return (bounds.searchsorted(slots, side="right") & 1).astype(bool)
 
     def to_slots(self) -> np.ndarray:
         """Materialise the explicit sorted ``int64`` index array (O(size))."""

@@ -1,6 +1,9 @@
 """Collision/CCA resolution for one phase — sparse, O(events) hot path.
 
-This is the hot path of the whole simulator.  One call resolves a phase
+This is the hot path of the whole simulator, and both phase loops share
+it: :func:`resolve_phase_batch_core` resolves B trials' phases at once,
+and the scalar loop calls it with one trial (:func:`resolve_phase` is
+that call's wrapper).  One call resolves a phase
 of ``L`` slots, but the work scales with the *events* in the phase —
 ``O(#sends + #listens + #spoofs + #jam intervals)`` — never with ``L``
 itself: statuses are evaluated only at the union of transmission slots
@@ -38,6 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.channel.events import (
+    _EMPTY_KINDS,
+    _EMPTY_SLOTS,
+    _EMPTY_SLOTSET,
     N_STATUS,
     JamPlan,
     ListenEvents,
@@ -62,14 +68,9 @@ __all__ = [
 ]
 
 
-def _tx_events(sends: SendEvents, plan: JamPlan) -> tuple[np.ndarray, np.ndarray]:
-    """All on-air transmissions of the phase: node sends plus spoofs."""
-    tx_slots = sends.slots
-    tx_kinds = sends.kinds
-    if len(plan.spoof_slots):
-        tx_slots = np.concatenate([tx_slots, plan.spoof_slots])
-        tx_kinds = np.concatenate([tx_kinds, plan.spoof_kinds])
-    return tx_slots, tx_kinds
+#: Status values read once, not through ``IntEnum`` lookups per call.
+_NOISE = int(SlotStatus.NOISE)
+_DATA = int(SlotStatus.DATA)
 
 
 def _unique_tx_content(
@@ -79,23 +80,30 @@ def _unique_tx_content(
 
     Returns ``(slots, statuses)`` with ``slots`` sorted ascending: a
     lone transmission decodes as its kind, two or more collide to NOISE.
-    Slots carrying no transmission are implicitly CLEAR.
+    Slots carrying no transmission are implicitly CLEAR.  One sort of
+    packed ``slot * 8 + kind`` keys groups each slot's transmissions
+    (kinds are :class:`~repro.channel.events.TxKind` values, below 8).
     """
-    uniq, first, counts = np.unique(
-        tx_slots, return_index=True, return_counts=True
-    )
-    statuses = tx_kinds[first].astype(np.int8)
-    statuses[counts >= 2] = SlotStatus.NOISE
-    return uniq, statuses
+    packed = tx_slots * 8 + tx_kinds
+    packed.sort()
+    slots = packed >> 3
+    # first[i]: key i is its slot's first; a closing True ends the last.
+    first = np.ones(len(packed) + 1, dtype=bool)
+    np.not_equal(slots[1:], slots[:-1], out=first[1:-1])
+    starts = first[:-1].nonzero()[0]
+    statuses = (packed[starts] & 7).astype(np.int8)
+    statuses[~first[starts + 1]] = _NOISE  # two or more in the slot
+    return slots[starts], statuses
 
 
 # Membership tests against a few thousand keys drawn from a bounded
 # virtual key space are faster as dense scatter/gather than as binary
 # search over the full event arrays, but only while the key space fits
-# comfortably in memory; past this limit the batch resolver falls back
-# to searchsorted.  Scratch buffers are reused across phases (callers
-# reset exactly the entries they wrote) so the per-phase cost is the
-# touched entries, not a key-space-sized memset.
+# comfortably in memory; past this limit the resolver falls back to
+# searchsorted.  Scratch buffers are reused across the phases of a run
+# (callers reset exactly the entries they wrote) so the per-phase cost
+# is the touched entries, not a key-space-sized memset; the phase loops
+# call :func:`release_scratch` when a run ends.
 _DENSE_KEY_LIMIT = 1 << 23
 _dense_scratch: "dict[str, np.ndarray]" = {}
 
@@ -108,6 +116,26 @@ def _dense_buf(name: str, size: int, dtype) -> np.ndarray:
     return buf
 
 
+def release_scratch() -> None:
+    """Drop the resolver's dense scratch buffers (the next phase that
+    needs one allocates it afresh)."""
+    _dense_scratch.clear()
+
+
+def _cat(parts: "list[np.ndarray]") -> np.ndarray:
+    """One array from per-trial parts; a lone part is used as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _owner(parts: "list[np.ndarray]", owners: "list[int]"):
+    """The trial of each element of ``_cat(parts)``: a scalar for one
+    part, else one index per element."""
+    if len(parts) == 1:
+        return owners[0]
+    sizes = np.fromiter(map(len, parts), np.int64, len(parts))
+    return np.repeat(np.asarray(owners, dtype=np.int64), sizes)
+
+
 def resolve_phase(
     length: int,
     n_nodes: int,
@@ -117,6 +145,9 @@ def resolve_phase(
     groups: np.ndarray | None = None,
 ) -> PhaseOutcome:
     """Resolve every slot of a phase and tally what each node heard.
+
+    A one-trial call of :func:`resolve_phase_batch_core`, with its
+    inputs validated.
 
     Parameters
     ----------
@@ -147,87 +178,9 @@ def resolve_phase(
     #jam intervals`` — independent of ``length``.  Bit-identical to
     :func:`~repro.channel.model_dense.resolve_phase_dense`.
     """
-    groups = validate_phase_inputs(length, n_nodes, sends, listens, plan, groups)
-
-    tx_slots, tx_kinds = _tx_events(sends, plan)
-    if len(tx_slots):
-        uniq_tx, tx_status = _unique_tx_content(tx_slots, tx_kinds)
-    else:
-        uniq_tx = np.empty(0, np.int64)
-        tx_status = np.empty(0, np.int8)
-
-    # Half-duplex: drop listen events that coincide with the same node's
-    # own send.  Key each (node, slot) pair into a single int64 and
-    # binary-search the listen keys against the sorted send keys (the
-    # sort is O(#sends log #sends); `np.isin` would re-sort *both* sides
-    # and build an intermediate boolean lattice every phase).
-    listen_nodes, listen_slots = listens.nodes, listens.slots
-    if len(sends) and len(listens):
-        send_keys = np.sort(sends.nodes * length + sends.slots)
-        listen_keys = listen_nodes * length + listen_slots
-        pos = np.searchsorted(send_keys, listen_keys)
-        safe = np.minimum(pos, len(send_keys) - 1)
-        keep = send_keys[safe] != listen_keys
-        listen_nodes = listen_nodes[keep]
-        listen_slots = listen_slots[keep]
-
-    # Un-jammed content status under each listen event, via one binary
-    # search into the distinct transmission slots.
-    if len(uniq_tx) and len(listen_slots):
-        pos = np.searchsorted(uniq_tx, listen_slots)
-        safe = np.minimum(pos, len(uniq_tx) - 1)
-        hit = uniq_tx[safe] == listen_slots
-        base_status = np.zeros(len(listen_slots), dtype=np.int64)
-        base_status[hit] = tx_status[safe[hit]]
-    else:
-        base_status = np.zeros(len(listen_slots), dtype=np.int64)
-
-    # Per-group views: jamming overrides content with NOISE.  Group
-    # count is tiny (<= l <= 2 in the paper's experiments); per group
-    # the work is one interval-membership query per event.
-    group_ids = np.unique(groups)
-    heard = np.zeros((n_nodes, N_STATUS), dtype=np.int64)
-    is_data_tx = tx_status == SlotStatus.DATA
-    data_decodable = np.zeros(int(is_data_tx.sum()), dtype=bool)
-    data_tx_slots = uniq_tx[is_data_tx]
-    for g in group_ids:
-        jam_g = plan.jam_set(int(g))
-        data_decodable |= ~jam_g.contains(data_tx_slots)
-
-        in_group = groups[listen_nodes] == g
-        if not in_group.any():
-            continue
-        nodes_g = listen_nodes[in_group]
-        statuses = np.where(
-            jam_g.contains(listen_slots[in_group]),
-            np.int64(SlotStatus.NOISE),
-            base_status[in_group],
-        )
-        flat = np.bincount(nodes_g * N_STATUS + statuses, minlength=n_nodes * N_STATUS)
-        heard += flat.reshape(n_nodes, N_STATUS)
-
-    send_cost = np.bincount(sends.nodes, minlength=n_nodes)
-    listen_cost = np.bincount(listen_nodes, minlength=n_nodes)
-
-    # Channel-wide ground truth from group 0's perspective: CLEAR slots
-    # are those with neither transmission nor group-0 jam, NOISE slots
-    # the group-0 jam plus un-jammed collisions/noise transmissions.
-    jam_0 = plan.jam_set(0)
-    tx_jammed_0 = jam_0.contains(uniq_tx)
-    n_clear = length - jam_0.size - int((~tx_jammed_0).sum())
-    n_noise = jam_0.size + int(
-        ((tx_status == SlotStatus.NOISE) & ~tx_jammed_0).sum()
-    )
-
-    return PhaseOutcome(
-        heard=heard,
-        send_cost=send_cost,
-        listen_cost=listen_cost,
-        adversary_cost=plan.cost,
-        n_clear=n_clear,
-        n_noise=n_noise,
-        data_slots=int(data_decodable.sum()),
-    )
+    return resolve_phase_batch_core(
+        (length,), n_nodes, (sends,), (listens,), (plan,), (groups,)
+    ).outcome_for(0)
 
 
 @dataclass(frozen=True)
@@ -297,21 +250,24 @@ def resolve_phase_batch_core(
 ) -> BatchPhaseOutcome:
     """Resolve B trials' phases as one stacked computation.
 
-    Bit-identical per trial to B :func:`resolve_phase` calls — the
-    per-trial resolver stays on as this function's differential oracle,
-    the same playbook that de-risked the sparse kernel swap.
+    The engine's one sparse resolver: the lockstep loop calls it with
+    its runnable trials, the scalar loop with one.  Trial ``t``'s view
+    is bit-identical to
+    :func:`~repro.channel.model_dense.resolve_phase_dense` on its
+    inputs, which the ``engine`` test suite checks per trial.
 
     The trick is a *virtual slot axis*: trial ``t`` owns the range
     ``[off_t, off_t + lengths[t])`` (``off`` the exclusive prefix sum of
     lengths), and virtual node ``t * n_nodes + u`` owns node ``u``'s
     events.  Because the per-trial ranges are disjoint, one global
-    ``np.unique`` computes every trial's collision content, one dense
+    sort computes every trial's collision content, one dense
     scatter/gather membership pass (binary search past
     :data:`_DENSE_KEY_LIMIT`) applies half-duplex, and one stacked
     :class:`~repro.channel.intervals.SlotSet` query per group answers
-    every trial's jam membership — the per-phase Python overhead that
-    dominated ``replicate`` is paid once per *batch* instead of once per
-    trial.
+    every trial's jam membership — the per-phase Python overhead is
+    paid once per *batch* instead of once per trial.  A lone per-trial
+    array is used as it is, and one trial needs no offsets, so a
+    one-trial call pays no stacking cost.
 
     Parameters
     ----------
@@ -336,6 +292,8 @@ def resolve_phase_batch_core(
     """
     B = len(plans)
     lengths = np.asarray(lengths, dtype=np.int64)
+    g0 = groups_list[0]
+    shared = all(g is g0 for g in groups_list)
     if validate:
         groups_arr = [
             validate_phase_inputs(
@@ -344,105 +302,90 @@ def resolve_phase_batch_core(
             )
             for t in range(B)
         ]
-    else:
-        g0 = groups_list[0] if groups_list else None
-        if all(g is g0 for g in groups_list):
-            shared = (
-                np.zeros(n_nodes, dtype=np.int64)
-                if g0 is None
-                else np.asarray(g0, dtype=np.int64)
-            )
-            groups_arr = [shared] * B
-        else:
-            shared_zeros = np.zeros(n_nodes, dtype=np.int64)
-            groups_arr = [
-                shared_zeros if g is None else np.asarray(g, dtype=np.int64)
-                for g in groups_list
-            ]
+    elif not shared:
+        zeros = np.zeros(n_nodes, dtype=np.int64)
+        groups_arr = [
+            zeros if g is None else np.asarray(g, dtype=np.int64)
+            for g in groups_list
+        ]
+    # Every trial's common group assignment; None puts every node in
+    # group 0.
+    groups = None
+    if shared and g0 is not None:
+        groups = groups_arr[0] if validate else np.asarray(g0, dtype=np.int64)
     off = np.zeros(B, dtype=np.int64)
     np.cumsum(lengths[:-1], out=off[1:])
 
-    first_groups = groups_arr[0]
-    groups_shared = all(g is first_groups for g in groups_arr)
-
-    # Stacked transmissions: per trial, node sends then spoofs — the
-    # serial concat order, so the stable global unique picks the same
-    # first occurrence per slot as each trial's own unique would.  Raw
+    # Stacked transmissions: per trial, node sends then spoofs.  Raw
     # per-trial arrays are concatenated first and translated onto the
     # virtual axes in one vectorized pass — per-trial arithmetic in
-    # this loop is the constant that dominates small-event batches.
+    # these loops is the constant that dominates small-event batches.
     tx_parts, kind_parts, tx_owner = [], [], []
+    sn_parts, ss_parts, s_owner = [], [], []
+    ln_parts, ls_parts, l_owner = [], [], []
     for t in range(B):
-        s, p = sends_list[t], plans[t]
+        s, p, l = sends_list[t], plans[t], listens_list[t]
         if len(s.slots):
             tx_parts.append(s.slots)
             kind_parts.append(s.kinds)
             tx_owner.append(t)
+            sn_parts.append(s.nodes)
+            ss_parts.append(s.slots)
+            s_owner.append(t)
         if len(p.spoof_slots):
             tx_parts.append(p.spoof_slots)
             kind_parts.append(p.spoof_kinds)
             tx_owner.append(t)
-    if tx_parts:
-        sizes = np.fromiter(map(len, tx_parts), np.int64, len(tx_parts))
-        owner = np.repeat(np.asarray(tx_owner, dtype=np.int64), sizes)
-        tx_slots = np.concatenate(tx_parts) + off[owner]
-        tx_kinds = np.concatenate(kind_parts)
-        uniq_tx, tx_status = _unique_tx_content(tx_slots, tx_kinds)
-    else:
-        uniq_tx = np.empty(0, np.int64)
-        tx_status = np.empty(0, np.int8)
-    tx_trial = np.searchsorted(off, uniq_tx, side="right") - 1
-
-    # Stacked listens with virtual (trial, node) ids and half-duplex
-    # filtering on injective (vnode, vslot) keys.
-    # (trial, node, slot) keys must be injective *across* trials even
-    # when phase lengths differ, so each trial owns the key range
-    # [koff_t, koff_t + n_nodes * length_t).
-    koff = np.zeros(B, dtype=np.int64)
-    np.cumsum(n_nodes * lengths[:-1], out=koff[1:])
-    ln_parts, ls_parts, l_owner = [], [], []
-    sn_parts, ss_parts, s_owner = [], [], []
-    for t in range(B):
-        s, l = sends_list[t], listens_list[t]
         if len(l.nodes):
             ln_parts.append(l.nodes)
             ls_parts.append(l.slots)
             l_owner.append(t)
-        if len(s.nodes):
-            sn_parts.append(s.nodes)
-            ss_parts.append(s.slots)
-            s_owner.append(t)
-    if sn_parts:
-        s_sizes = np.fromiter(map(len, sn_parts), np.int64, len(sn_parts))
-        s_own = np.repeat(np.asarray(s_owner, dtype=np.int64), s_sizes)
-        send_nodes_cat = np.concatenate(sn_parts)
-        send_vnodes = send_nodes_cat + s_own * n_nodes
+    if tx_parts:
+        tx_slots = _cat(tx_parts)
+        if B > 1:
+            tx_slots = tx_slots + off[_owner(tx_parts, tx_owner)]
+        uniq_tx, tx_status = _unique_tx_content(tx_slots, _cat(kind_parts))
     else:
-        send_vnodes = np.empty(0, np.int64)
+        uniq_tx, tx_status = _EMPTY_SLOTS, _EMPTY_KINDS
+
+    if sn_parts:
+        send_nodes = _cat(sn_parts)
+        s_own = _owner(sn_parts, s_owner)
+        send_vnodes = send_nodes + s_own * n_nodes if B > 1 else send_nodes
+    else:
+        send_vnodes = _EMPTY_SLOTS
+    listen_groups = None
     if ln_parts:
-        l_sizes = np.fromiter(map(len, ln_parts), np.int64, len(ln_parts))
-        l_own = np.repeat(np.asarray(l_owner, dtype=np.int64), l_sizes)
-        l_nodes = np.concatenate(ln_parts)
-        l_slots = np.concatenate(ls_parts)
-        listen_vnodes = l_nodes + l_own * n_nodes
-        listen_vslots = l_slots + off[l_own]
-        if groups_shared:
-            listen_groups = first_groups[l_nodes]
+        l_nodes, l_slots = _cat(ln_parts), _cat(ls_parts)
+        l_own = _owner(ln_parts, l_owner)
+        if B > 1:
+            listen_vnodes = l_nodes + l_own * n_nodes
+            listen_vslots = l_slots + off[l_own]
         else:
+            listen_vnodes, listen_vslots = l_nodes, l_slots
+        if not shared:
             listen_groups = np.concatenate(
                 [groups_arr[t][ln] for t, ln in zip(l_owner, ln_parts)]
             )
+        elif groups is not None:
+            listen_groups = groups[l_nodes]
     else:
-        listen_vnodes = np.empty(0, np.int64)
-        listen_vslots = np.empty(0, np.int64)
-        listen_groups = np.empty(0, np.int64)
-    if half_duplex and sn_parts and len(listen_vnodes):
-        send_keys = (
-            koff[s_own] + send_nodes_cat * lengths[s_own]
-            + np.concatenate(ss_parts)
-        )
-        listen_keys = koff[l_own] + l_nodes * lengths[l_own] + l_slots
-        key_space = int(koff[-1] + n_nodes * lengths[-1])
+        listen_vnodes = listen_vslots = _EMPTY_SLOTS
+
+    # Half-duplex filtering on injective (trial, node, slot) keys: each
+    # trial owns the key range [koff_t, koff_t + n_nodes * length_t),
+    # so keys stay injective across trials of different lengths.
+    if half_duplex and sn_parts and ln_parts:
+        send_keys = send_nodes * lengths[s_own] + _cat(ss_parts)
+        listen_keys = l_nodes * lengths[l_own] + l_slots
+        if B > 1:
+            koff = np.zeros(B, dtype=np.int64)
+            np.cumsum(n_nodes * lengths[:-1], out=koff[1:])
+            send_keys += koff[s_own]
+            listen_keys += koff[l_own]
+            key_space = int(koff[-1] + n_nodes * lengths[-1])
+        else:
+            key_space = n_nodes * int(lengths[0])
         if key_space <= _DENSE_KEY_LIMIT:
             busy = _dense_buf("halfdup", key_space, np.bool_)
             busy[send_keys] = True
@@ -455,7 +398,8 @@ def resolve_phase_batch_core(
             keep = send_keys[pos] != listen_keys
         listen_vnodes = listen_vnodes[keep]
         listen_vslots = listen_vslots[keep]
-        listen_groups = listen_groups[keep]
+        if listen_groups is not None:
+            listen_groups = listen_groups[keep]
 
     # Un-jammed content status under each surviving listen event.
     if len(uniq_tx) and len(listen_vslots):
@@ -463,36 +407,17 @@ def resolve_phase_batch_core(
         if slot_space <= _DENSE_KEY_LIMIT:
             content = _dense_buf("content", slot_space, np.int8)
             content[uniq_tx] = tx_status
-            base_status = content[listen_vslots]
+            statuses = content[listen_vslots]
             content[uniq_tx] = 0
         else:
             pos = np.searchsorted(uniq_tx, listen_vslots)
             np.minimum(pos, len(uniq_tx) - 1, out=pos)
-            base_status = np.where(
+            statuses = np.where(
                 uniq_tx[pos] == listen_vslots, tx_status[pos], np.int8(0)
             )
     else:
-        base_status = np.zeros(len(listen_vslots), dtype=np.int8)
+        statuses = np.zeros(len(listen_vslots), dtype=np.int8)
 
-    # Per-group views over the union of every trial's group ids; trials
-    # that lack a group must not have it applied to their decodability
-    # view, hence the per-trial membership masks.  A batch spec shares
-    # one groups array across trials, making the membership uniform —
-    # skip the per-trial unique pass in that case.
-    if groups_shared:
-        all_group_ids = np.unique(first_groups)
-        present = np.ones((B, len(all_group_ids)), dtype=bool)
-    else:
-        trial_gids = [np.unique(g) for g in groups_arr]
-        all_group_ids = np.unique(np.concatenate(trial_gids))
-        present = np.zeros((B, len(all_group_ids)), dtype=bool)
-        for t in range(B):
-            present[t, np.searchsorted(all_group_ids, trial_gids[t])] = True
-
-    is_data_tx = tx_status == SlotStatus.DATA
-    data_decodable = np.zeros(int(is_data_tx.sum()), dtype=bool)
-    data_tx_slots = uniq_tx[is_data_tx]
-    data_tx_trial = tx_trial[is_data_tx]
     # Plans only carry targeted sets for the handful of groups the
     # adversary aims at; every other group's jam set *is* the shared
     # global set.  Group ``g``'s full jam set is global ∪ targeted[g]
@@ -500,79 +425,93 @@ def resolve_phase_batch_core(
     # membership query below decomposes into one shared global-stack
     # pass plus a targeted-only pass for the (few) targeted groups —
     # the per-trial ``jam_set`` unions are never materialised.
-    global_stack = SlotSet.stack([p.global_slots for p in plans], off)
+    def stacked(sets: "list[SlotSet]") -> SlotSet:
+        return sets[0] if B == 1 else SlotSet.stack(sets, off)
+
+    global_stack = stacked([p.global_slots for p in plans])
     targeted_ids = sorted({g for p in plans for g in p.targeted})
-    empty_set = SlotSet.empty()
     targeted_cache: "dict[int, SlotSet]" = {}
 
-    def _targeted_stack(g: int) -> SlotSet:
+    def targeted_stack(g: int) -> SlotSet:
         got = targeted_cache.get(g)
         if got is None:
-            got = SlotSet.stack(
-                [p.targeted.get(g, empty_set) for p in plans], off
+            got = targeted_cache[g] = stacked(
+                [p.targeted.get(g, _EMPTY_SLOTSET) for p in plans]
             )
-            targeted_cache[g] = got
         return got
 
-    statuses = np.where(
-        global_stack.contains(listen_vslots),
-        np.int64(SlotStatus.NOISE),
-        base_status,
-    )
+    if len(global_stack.starts):
+        statuses[global_stack.contains(listen_vslots)] = _NOISE
     for g in targeted_ids:
+        if listen_groups is None:
+            # Every node is in group 0.
+            if g == 0:
+                statuses[targeted_stack(0).contains(listen_vslots)] = _NOISE
+            continue
         sel = np.flatnonzero(listen_groups == g)
         if len(sel):
-            jammed = _targeted_stack(g).contains(listen_vslots[sel])
-            statuses[sel[jammed]] = SlotStatus.NOISE
+            jammed = targeted_stack(g).contains(listen_vslots[sel])
+            statuses[sel[jammed]] = _NOISE
     heard = np.bincount(
         listen_vnodes * N_STATUS + statuses,
         minlength=B * n_nodes * N_STATUS,
     ).reshape(B, n_nodes, N_STATUS)
 
-    data_global_jam = global_stack.contains(data_tx_slots)
-    for gi, g in enumerate(all_group_ids):
-        g = int(g)
-        has_g = present[data_tx_trial, gi]
-        if has_g.any():
-            blocked = data_global_jam[has_g]
-            if g in targeted_ids:
-                blocked = blocked | _targeted_stack(g).contains(
-                    data_tx_slots[has_g]
-                )
-            data_decodable[has_g] |= ~blocked
+    # Each distinct transmission's jam status: the global stack is
+    # queried once and serves both decodability and group 0's ground
+    # truth.
+    tx_global = global_stack.contains(uniq_tx)
 
-    send_cost = np.bincount(
-        send_vnodes, minlength=B * n_nodes
-    ).reshape(B, n_nodes)
-    listen_cost = np.bincount(
-        listen_vnodes, minlength=B * n_nodes
-    ).reshape(B, n_nodes)
+    def tx_jammed(g: int) -> np.ndarray:
+        if g in targeted_ids:
+            return tx_global | targeted_stack(g).contains(uniq_tx)
+        return tx_global
 
-    # Group-0 ground truth per trial (see resolve_phase): applied to
-    # *every* trial regardless of which groups its nodes occupy.
-    jam0_sizes = np.empty(B, dtype=np.int64)
-    for t, p in enumerate(plans):
-        t0 = p.targeted.get(0)
-        jam0_sizes[t] = p.global_slots.size + (0 if t0 is None else t0.size)
-    tx_jammed_0 = global_stack.contains(uniq_tx)
-    if 0 in targeted_ids:
-        tx_jammed_0 |= _targeted_stack(0).contains(uniq_tx)
-    unjammed_tx_per_trial = np.bincount(tx_trial[~tx_jammed_0], minlength=B)
-    noise_unjammed = np.bincount(
-        tx_trial[(tx_status == SlotStatus.NOISE) & ~tx_jammed_0], minlength=B
-    )
-    n_clear = lengths - jam0_sizes - unjammed_tx_per_trial
-    n_noise = jam0_sizes + noise_unjammed
-    data_per_trial = np.bincount(
-        data_tx_trial[data_decodable], minlength=B
-    )
+    tx_jammed_0 = tx_jammed(0)
+    if B > 1:
+        tx_trial = np.searchsorted(off, uniq_tx, side="right") - 1
 
+    def per_trial(mask: np.ndarray) -> np.ndarray:
+        if B == 1:
+            return np.array([np.count_nonzero(mask)], dtype=np.int64)
+        return np.bincount(tx_trial[mask], minlength=B)
+
+    # A transmission decodes if some group present in its trial hears
+    # it unjammed.  Trials that lack a group must not have it applied
+    # to their decodability view, hence the per-trial membership masks
+    # when trials differ in their assignments.
+    if shared:
+        group_ids = [0] if groups is None else np.unique(groups).tolist()
+        decodable = ~tx_jammed(group_ids[0])
+        for g in group_ids[1:]:
+            decodable |= ~tx_jammed(g)
+    else:
+        trial_gids = [np.unique(g) for g in groups_arr]
+        all_group_ids = np.unique(np.concatenate(trial_gids))
+        present = np.zeros((B, len(all_group_ids)), dtype=bool)
+        for t in range(B):
+            present[t, np.searchsorted(all_group_ids, trial_gids[t])] = True
+        decodable = np.zeros(len(uniq_tx), dtype=bool)
+        for gi, g in enumerate(all_group_ids.tolist()):
+            decodable |= ~tx_jammed(g) & present[tx_trial, gi]
+
+    # Group-0 ground truth per trial: applied to *every* trial
+    # regardless of which groups its nodes occupy.
+    jam0_sizes = np.array([
+        p.global_slots.size + p.targeted.get(0, _EMPTY_SLOTSET).size
+        for p in plans
+    ], dtype=np.int64)
+    unjammed_0 = ~tx_jammed_0
     return BatchPhaseOutcome(
         heard=heard,
-        send_cost=send_cost,
-        listen_cost=listen_cost,
+        send_cost=np.bincount(
+            send_vnodes, minlength=B * n_nodes
+        ).reshape(B, n_nodes),
+        listen_cost=np.bincount(
+            listen_vnodes, minlength=B * n_nodes
+        ).reshape(B, n_nodes),
         adversary_costs=np.array([p.cost for p in plans], dtype=np.int64),
-        n_clear=n_clear.astype(np.int64),
-        n_noise=n_noise.astype(np.int64),
-        data_slots=data_per_trial.astype(np.int64),
+        n_clear=lengths - jam0_sizes - per_trial(unjammed_0),
+        n_noise=jam0_sizes + per_trial(unjammed_0 & (tx_status == _NOISE)),
+        data_slots=per_trial(decodable & (tx_status == _DATA)),
     )

@@ -28,8 +28,12 @@ from repro.channel.events import (
     PhaseOutcome,
     SendEvents,
     SlotStatus,
+    TxKind,
 )
 from repro.errors import SimulationError
+
+_KIND_LO = min(int(k) for k in TxKind)
+_KIND_HI = max(int(k) for k in TxKind)
 
 __all__ = ["resolve_phase_dense", "slot_content"]
 
@@ -85,6 +89,9 @@ def validate_phase_inputs(
         listens.slots.min() < 0 or listens.slots.max() >= length
     ):
         raise SimulationError("listen event slot index out of range")
+    for kinds in (sends.kinds, plan.spoof_kinds):  # heard as SlotStatus
+        if len(kinds) and (kinds.min() < _KIND_LO or kinds.max() > _KIND_HI):
+            raise SimulationError("transmission kinds must be TxKind values")
 
     if groups is None:
         return np.zeros(n_nodes, dtype=np.int64)

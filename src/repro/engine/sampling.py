@@ -155,71 +155,83 @@ def _distinct_positions_batch(
     keeps the rejection loop away from the coupon-collector regime.
 
     Returns ``(node_ids, slots)`` arrays (unordered within a node).
+
+    A call is one small phase, usually with one drawing node, so its
+    cost is the NumPy call count: it counts per node by ``searchsorted``
+    and trims with one stable sort.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    n = len(counts)
-    heavy = counts > length // 2
-
-    node_parts: list[np.ndarray] = []
-    slot_parts: list[np.ndarray] = []
+    some_heavy = counts.max(initial=0) > length // 2
+    if some_heavy:
+        heavy = counts > length // 2
+        light_idx = (~heavy & (counts > 0)).nonzero()[0]
+    else:
+        light_idx = counts.nonzero()[0]
 
     # Light nodes: rejection sampling on (node, slot) keys.  Each round
     # overdraws slightly so one dedup pass usually collects enough
     # distinct slots per node; surpluses are trimmed afterwards by a
     # per-node uniformly random subset (value-symmetric, hence exact).
-    light_idx = np.flatnonzero(~heavy & (counts > 0))
-    if len(light_idx):
+    k = len(light_idx)
+    if k:
         want = counts[light_idx]
-        keys = np.empty(0, dtype=np.int64)
-        need = want.copy()
+        n_want = int(want.sum())
+        base = light_idx * length  # node u's keys: [u * length, ... + length)
+        top = base + length
+        keys = None
+        overdraw = want + want // 16 + 4
         while True:
-            total = int(need.sum())
-            if total == 0:
-                break
-            overdraw = need + need // 16 + 4
-            draw_nodes = np.repeat(light_idx, overdraw)
-            draw_slots = rng.integers(0, length, int(overdraw.sum()))
+            draw = rng.integers(0, length, int(overdraw.sum()))
+            draw += base.repeat(overdraw)
             keys = _sorted_distinct(
-                np.concatenate([keys, draw_nodes * length + draw_slots])
+                draw if keys is None else np.concatenate([keys, draw])
             )
-            have = np.bincount(keys // length, minlength=n)[light_idx]
-            need = np.maximum(0, want - have)
+            start = keys.searchsorted(base)
+            have = keys.searchsorted(top) - start
+            short = have < want
+            if not short.any():
+                break
+            need = np.where(short, want - have, 0)
+            overdraw = need + need // 16 + 4
 
-        nodes_all = keys // length
-        have = np.bincount(nodes_all, minlength=n)[light_idx]
-        if (have > want).any():
+        if len(keys) > n_want:  # some node has a surplus
             # keys is sorted, hence node-major: trim each node's segment
-            # to a random `want`-subset by ranking on random tie-breaks.
-            order = np.lexsort((rng.random(len(keys)), nodes_all))
-            starts = np.zeros(len(light_idx), dtype=np.int64)
-            np.cumsum(have[:-1], out=starts[1:])
-            seg_of = np.repeat(np.arange(len(light_idx)), have)
-            rank = np.arange(len(keys)) - starts[seg_of]
-            keep_sorted = rank < want[seg_of]
-            keys = keys[order[keep_sorted]]
-            nodes_all = keys // length
-        node_parts.append(nodes_all)
-        slot_parts.append(keys % length)
+            # to a random `want`-subset, ranked in ``lexsort((rand,
+            # node))`` order.  Below node 1024 one stable sort of node
+            # (high bits) and the tie-break's 53-bit mantissa (low bits;
+            # ``Generator.random`` emits multiples of 2**-53, so the
+            # scaling is exact) gives that order, ties included.
+            rand = rng.random(len(keys))
+            if k > 1 and light_idx[-1] >= 1024:
+                order = np.lexsort((rand, keys // length))
+            else:
+                rank = (rand * 9007199254740992.0).astype(np.int64)
+                if k > 1:
+                    rank += keys // length << 53
+                order = rank.argsort(kind="stable")
+            # Keep each segment's first ``want`` ranked positions.
+            keys = keys[
+                order[:n_want] if k == 1
+                else order[np.arange(len(keys)) < (start + want).repeat(have)]
+            ]
+        nodes, slots = np.divmod(keys, length)
+        if not some_heavy:
+            return nodes, slots
+    elif not some_heavy:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
 
     # Heavy nodes: sample the complement, then invert with a mask.
-    heavy_idx = np.flatnonzero(heavy)
-    if len(heavy_idx):
-        comp_counts = np.zeros(n, dtype=np.int64)
-        comp_counts[heavy_idx] = length - counts[heavy_idx]
-        comp_nodes, comp_slots = _distinct_positions_batch(
-            rng, length, comp_counts
-        )
-        nodes, slots = _invert_complement(
-            heavy_idx, length, comp_nodes, comp_slots
-        )
-        node_parts.append(nodes)
-        slot_parts.append(slots)
-
-    if not node_parts:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    comp_nodes, comp_slots = _distinct_positions_batch(
+        rng, length, np.where(heavy, length - counts, 0)
+    )
+    heavy_nodes, heavy_slots = _invert_complement(
+        heavy.nonzero()[0], length, comp_nodes, comp_slots
+    )
+    if not k:
+        return heavy_nodes, heavy_slots
     return (
-        np.concatenate(node_parts),
-        np.concatenate(slot_parts).astype(np.int64),
+        np.concatenate([nodes, heavy_nodes]),
+        np.concatenate([slots, heavy_slots]),
     )
 
 

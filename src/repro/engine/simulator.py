@@ -13,6 +13,7 @@ slot-level work happens vectorised inside :mod:`repro.channel.model`.
 from __future__ import annotations
 
 import copy
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from repro.adversaries.base import Adversary, AdversaryContext
 from repro.channel.accounting import BatchEnergyLedger, EnergyLedger
 from repro.channel.events import N_STATUS
-from repro.channel.model import resolve_phase, resolve_phase_batch_core
+from repro.channel.model import release_scratch, resolve_phase_batch_core
 from repro.engine.phase import BatchPhaseObservation, PhaseObservation
 from repro.engine.sampling import sample_action_events, sample_action_events_batch
 from repro.errors import (
@@ -163,6 +164,20 @@ class BatchResult:
         return np.array([r.truncated for r in self.results], dtype=bool)
 
 
+def _releases_scratch(loop):
+    """Wrap a phase loop so that the resolver's scratch buffers, which
+    its phases grow, are dropped when the run returns or raises."""
+
+    @functools.wraps(loop)
+    def wrapped(*args, **kwargs):
+        try:
+            return loop(*args, **kwargs)
+        finally:
+            release_scratch()
+
+    return wrapped
+
+
 def _plans_per_trial(cls) -> bool:
     """Whether ``cls`` overrides ``plan_phase`` below its nearest
     ``plan_phase_batch`` in the MRO.
@@ -193,8 +208,8 @@ class SingleChannel:
       real-slot events on the resolver's slot axis; the loops charge it
       to the ``sampling`` stage.  ``hop`` applies half-duplex on real
       slots first, so no node keeps a send and a listen in one resolver
-      slot, and the lockstep loop skips the resolver's own half-duplex
-      pass.  One channel needs neither.
+      slot, and both loops skip the resolver's own half-duplex pass.
+      One channel needs neither.
     * The adversary side: ``adversary_base`` (the strategy interface;
       the per-trial planning fallback and the ``observe_outcome``
       override check key off it), :meth:`begin_run` and
@@ -314,6 +329,7 @@ class Simulator:
         """
         return self._run_batch(seeds, adversaries)
 
+    @_releases_scratch
     def _run(self, seed, adversary) -> RunResult:
         """The scalar phase loop behind every engine's ``run`` and
         one-trial ``run_batch``."""
@@ -386,9 +402,10 @@ class Simulator:
                 t_stage = _clock(stages, "adversary", t_stage)
             extent = C * spec.length
             groups = spec.groups if jam_groups else None
-            outcome = resolve_phase(
-                extent, n_nodes, sends, listens, plan, groups=groups
-            )
+            outcome = resolve_phase_batch_core(
+                (extent,), n_nodes, (sends,), (listens,), (plan,), (groups,),
+                half_duplex=hop_rng is None,
+            ).outcome_for(0)
             if stages is not None:
                 t_stage = _clock(stages, "resolve", t_stage)
                 n_events += len(sends) + len(listens)
@@ -447,6 +464,7 @@ class Simulator:
             node_listen_costs=ledger.listen_costs,
         )
 
+    @_releases_scratch
     def _run_batch(self, seeds, adversaries) -> BatchResult:
         """The lockstep phase loop behind every engine's ``run_batch``.
 
@@ -467,8 +485,9 @@ class Simulator:
 
         This is the one place that picks a loop: a one-trial batch plays
         through the scalar :meth:`_run` (same bits, none of the stacked
-        layers' fixed per-call cost), so a trace recorder works there
-        and is rejected only for more than one trial.
+        protocol's and ledger's fixed per-call cost; both loops share
+        the resolver), so a trace recorder works there and is rejected
+        only for more than one trial.
         """
         seeds = list(seeds)
         if adversaries is None:

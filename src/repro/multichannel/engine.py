@@ -100,8 +100,8 @@ class HoppingChannels:
         many listen events remain, hence how many channel draws the hop
         makes), then sends hop, then listens — both from the trial's
         ``hopping`` stream.  After the filter no node keeps a send and
-        a listen in one virtual slot, which is why the lockstep loop
-        skips the resolver's half-duplex pass on this medium.  Both
+        a listen in one virtual slot, which is why both phase loops
+        skip the resolver's half-duplex pass on this medium.  Both
         phase loops call this per trial, and
         that per-trial draw order is the bit-identity contract the C>1
         rng regression pin enforces: merging the two hops into one

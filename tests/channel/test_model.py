@@ -13,6 +13,7 @@ from repro.channel.events import (
     TxKind,
 )
 from repro.channel.model import resolve_phase, slot_content
+from repro.channel.model_dense import resolve_phase_dense
 from repro.errors import SimulationError
 
 
@@ -157,6 +158,18 @@ class TestResolvePhase:
         with pytest.raises(SimulationError):
             resolve_phase(4, 1, SendEvents.empty(), ListenEvents.empty(),
                           JamPlan.silent(5))
+
+    @pytest.mark.parametrize("kind", [0, 5])
+    @pytest.mark.parametrize("resolver", [resolve_phase, resolve_phase_dense],
+                             ids=["sparse", "dense"])
+    def test_kind_outside_txkind_rejected(self, resolver, kind):
+        with pytest.raises(SimulationError):
+            resolver(4, 1, sends((0, 1, kind)), ListenEvents.empty(),
+                     JamPlan.silent(4))
+        plan = JamPlan(4, spoof_slots=np.array([1]),
+                       spoof_kinds=np.array([kind], dtype=np.int8))
+        with pytest.raises(SimulationError):
+            resolver(4, 1, SendEvents.empty(), ListenEvents.empty(), plan)
 
     def test_groups_shape_checked(self):
         with pytest.raises(SimulationError):

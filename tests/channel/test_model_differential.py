@@ -1,9 +1,10 @@
 """Differential oracle: the sparse O(events) resolver must be
 bit-identical to the dense O(L) reference on arbitrary phases.
 
-These are the tests backing the PR-3 kernel swap: every field of
-:class:`~repro.channel.events.PhaseOutcome` — not just ``heard`` — must
-agree between :func:`repro.channel.model.resolve_phase` and
+Every field of :class:`~repro.channel.events.PhaseOutcome` — not just
+``heard`` — must agree between :func:`repro.channel.model.resolve_phase`
+(the one-trial call of the engine's one sparse kernel,
+``resolve_phase_batch_core``) and
 :func:`repro.channel.model_dense.resolve_phase_dense`, across spoofs,
 targeted jams, interval and explicit-slot plan construction, and
 multi-group node assignments.
@@ -29,7 +30,6 @@ from repro.channel.events import (
     TxKind,
 )
 from repro.channel.model import (
-    _tx_events,
     _unique_tx_content,
     resolve_phase,
     slot_content,
@@ -133,7 +133,8 @@ def test_slot_content_at_matches_dense_content(setup):
     length, _, sends, _, plan, _ = setup
     dense = slot_content(length, sends, plan)
     sparse = np.zeros(length, dtype=np.int8)  # SlotStatus.CLEAR
-    tx_slots, tx_kinds = _tx_events(sends, plan)
+    tx_slots = np.concatenate([sends.slots, plan.spoof_slots])
+    tx_kinds = np.concatenate([sends.kinds, plan.spoof_kinds])
     if len(tx_slots):
         slots, statuses = _unique_tx_content(tx_slots, tx_kinds)
         sparse[slots] = statuses
@@ -226,26 +227,28 @@ def mk_jammer():
 
 class TestGetResolver:
     """The engine has one resolver: both phase loops call the sparse
-    kernels by name, ``resolver=`` is not an engine option, and the
+    kernel ``resolve_phase_batch_core`` by name (the scalar loop with
+    one trial), ``resolver=`` is not an engine option, and the
     ``REPRO_RESOLVER`` environment variable selects nothing."""
 
     @staticmethod
     def play(monkeypatch) -> str:
         """One run and one two-trial batch; asserts every phase went
-        through the sparse kernels and returns the results as JSON."""
+        through the sparse kernel and returns the results as JSON."""
         calls = {"run": 0, "run_batch": 0}
 
-        def spy(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def spy(*args, **kwargs):
+            # The scalar loop validates its one trial per phase; the
+            # lockstep loop passes validate=False.
+            if kwargs.get("validate", True):
+                assert len(args[4]) == 1
+                calls["run"] += 1
+            else:
+                calls["run_batch"] += 1
+            return model.resolve_phase_batch_core(*args, **kwargs)
 
         with monkeypatch.context() as mp:
-            mp.setattr(simulator, "resolve_phase",
-                       spy("run", model.resolve_phase))
-            mp.setattr(simulator, "resolve_phase_batch_core",
-                       spy("run_batch", model.resolve_phase_batch_core))
+            mp.setattr(simulator, "resolve_phase_batch_core", spy)
             one = Simulator(OneToOneBroadcast(P11), mk_jammer()).run(123)
             two = Simulator(OneToOneBroadcast(P11), mk_jammer()).run_batch(
                 [5, 6]
@@ -257,7 +260,7 @@ class TestGetResolver:
         )
 
     def test_explicit_name(self):
-        assert simulator.resolve_phase is model.resolve_phase
+        assert not hasattr(simulator, "resolve_phase")
         assert (
             simulator.resolve_phase_batch_core
             is model.resolve_phase_batch_core

@@ -37,16 +37,16 @@ def stack_outcomes(outcomes) -> BatchPhaseOutcome:
 def dense_oracle():
     """A context manager that runs both phase loops on the dense oracle.
 
-    Inside ``with dense_oracle() as calls:`` the engine's scalar loop
-    resolves through :func:`resolve_phase_dense` and its lockstep loop
-    through per-trial dense calls stacked by :func:`stack_outcomes`,
-    in place of the sparse kernels.  The oracle always applies
-    half-duplex, so a lockstep run on the hopping medium, where the
-    engine skips the sparse kernel's half-duplex pass, proves that skip
-    exact.  ``calls["run"]`` and
-    ``calls["run_batch"]`` count the patched functions' calls in this
-    process; forked executor workers inherit the patch but count in
-    their own copy.
+    Both loops resolve through the one sparse kernel,
+    ``resolve_phase_batch_core``; inside ``with dense_oracle() as calls:``
+    it is replaced by per-trial :func:`resolve_phase_dense` calls
+    stacked by :func:`stack_outcomes`.  The oracle always applies
+    half-duplex, so a run on the hopping medium, where the engine skips
+    the sparse kernel's half-duplex pass, proves that skip exact.
+    ``calls["run"]`` counts the scalar loop's calls (one trial, inputs
+    validated per phase) and ``calls["run_batch"]`` the lockstep loop's
+    (``validate=False``), in this process; forked executor workers
+    inherit the patch but count in their own copy.
     """
     from repro.engine import simulator
 
@@ -54,15 +54,11 @@ def dense_oracle():
     def patched():
         calls = {"run": 0, "run_batch": 0}
 
-        def resolve(*args, **kwargs):
-            calls["run"] += 1
-            return resolve_phase_dense(*args, **kwargs)
-
         def resolve_batch(
             lengths, n_nodes, sends_list, listens_list, plans, groups_list,
             validate=True, half_duplex=True,
         ):
-            calls["run_batch"] += 1
+            calls["run" if validate else "run_batch"] += 1
             return stack_outcomes([
                 resolve_phase_dense(
                     int(length), n_nodes, sends, listens, plan, groups=groups
@@ -73,7 +69,6 @@ def dense_oracle():
             ])
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(simulator, "resolve_phase", resolve)
             mp.setattr(simulator, "resolve_phase_batch_core", resolve_batch)
             yield calls
 

@@ -34,7 +34,8 @@ from repro.adversaries import (
     WindowedJammer,
 )
 from repro.channel.events import JamPlan, PhaseOutcome
-from repro.channel.model import resolve_phase, resolve_phase_batch
+from repro.channel.model import resolve_phase_batch
+from repro.channel.model_dense import resolve_phase_dense
 from repro.engine.executor import ExecutorStats
 from repro.engine.sampling import (
     sample_action_events,
@@ -272,7 +273,7 @@ class TestStackedKernels:
         length = int(rng.integers(1, 200))
         send_probs = rng.uniform(0, 1, n_nodes) * rng.integers(0, 2, n_nodes)
         listen_probs = rng.uniform(0, 1, n_nodes)
-        send_kinds = rng.integers(0, 4, n_nodes).astype(np.int8)
+        send_kinds = rng.integers(1, 5, n_nodes).astype(np.int8)  # TxKind
         groups = (
             rng.integers(0, 3, n_nodes) if rng.integers(0, 2) else None
         )
@@ -299,7 +300,7 @@ class TestStackedKernels:
             lengths, n_nodes, sends_list, listens_list, plans, groups_list
         )
         for t in range(batch_size):
-            want = resolve_phase(
+            want = resolve_phase_dense(
                 lengths[t],
                 n_nodes,
                 sends_list[t],

@@ -3,9 +3,11 @@ baselines in ``results/baseline/``.
 
 ``scripts/check_parallel_determinism.sh`` compares all 23 reports at
 the default batch (64); this runs the 14 that take seconds in the unit
-suite.  E15 is also run at batch 1, the one-trial-group path.
-The 1-to-n experiments (E6-E10, E12, E13, A3, A6) are left to the CI
-script until they are cheap enough for every test run.
+suite.  E15 and the 1-to-1 set of the ``oneone_serial`` bench workload
+(E1, E3, E4, E16, A4) also run at batch 1, where every trial is a
+one-trial group on the scalar loop.  The 1-to-n experiments (E6-E10,
+E12, E13, A3, A6) are left to the CI script until they are cheap enough
+for every test run.
 """
 
 from __future__ import annotations
@@ -23,12 +25,16 @@ CHEAP = (
     "E1", "E2", "E3", "E4", "E5", "E11", "E14", "E15", "E16", "E17",
     "E18", "A1", "A4", "A5",
 )
+SCALAR = ("E15", "E1", "E3", "E4", "E16", "A4")
 
 
 @pytest.mark.parametrize(
     "eid,batch",
-    [(eid, 64) for eid in CHEAP] + [("E15", 1)],
-    ids=[f"{eid}-batch64" for eid in CHEAP] + ["E15-batch1"],
+    [(eid, 64) for eid in CHEAP] + [(eid, 1) for eid in SCALAR],
+    ids=(
+        [f"{eid}-batch64" for eid in CHEAP]
+        + [f"{eid}-batch1" for eid in SCALAR]
+    ),
 )
 def test_quick_report_matches_baseline(eid, batch):
     report = run_experiment(eid, RunConfig(seed=0, quick=True, batch=batch))

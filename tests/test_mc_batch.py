@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adversaries import SilentAdversary, SuffixJammer
-from repro.channel.model import BatchPhaseOutcome, resolve_phase_batch_core
+from repro.channel.model import resolve_phase_batch_core
+from repro.channel.model_dense import resolve_phase_dense
 from repro.engine import simulator
 from repro.engine.sampling import sample_action_events
 from repro.engine.simulator import Simulator
@@ -250,11 +251,12 @@ class TestHopRngContract:
 
 
 class TestHalfDuplexSkip:
-    """The lockstep loop skips the resolver's half-duplex pass exactly
+    """Both phase loops skip the resolver's half-duplex pass exactly
     when the medium hops: ``hop`` has already dropped every listen that
     shares a real slot with the same node's send, so no (node, virtual
     slot) pair can hold both.  One channel has no hop and keeps the
-    pass."""
+    pass.  The dense oracle, which always applies half-duplex, is the
+    reference."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -288,14 +290,19 @@ class TestHalfDuplexSkip:
             ))
             sends_list.append(sends)
             listens_list.append(listens)
-        args = (
-            [n_channels * length for length in lengths], n_nodes,
-            sends_list, listens_list, plans, [None] * len(lengths),
+        extents = [n_channels * length for length in lengths]
+        got = resolve_phase_batch_core(
+            extents, n_nodes, sends_list, listens_list, plans,
+            [None] * len(lengths), half_duplex=False,
         )
-        want = resolve_phase_batch_core(*args)
-        got = resolve_phase_batch_core(*args, half_duplex=False)
-        for f in dataclasses.fields(BatchPhaseOutcome):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name))
+        for t, args in enumerate(zip(extents, sends_list, listens_list, plans)):
+            extent, sends, listens, plan = args
+            want = resolve_phase_dense(extent, n_nodes, sends, listens, plan)
+            got_t = got.outcome_for(t)
+            for f in dataclasses.fields(want):
+                assert np.array_equal(
+                    getattr(got_t, f.name), getattr(want, f.name)
+                )
 
     @pytest.mark.parametrize(
         "engine,expected",
@@ -306,12 +313,13 @@ class TestHalfDuplexSkip:
         ids=["single-channel", "hopping-c1"],
     )
     def test_only_single_channel_keeps_the_pass(
-        self, monkeypatch, engine, expected
+        self, monkeypatch, dense_oracle, engine, expected
     ):
         # Figure 2's nodes send and listen in one phase, so on one
-        # channel the pass drops listens in this batch; the scalar loop,
-        # which always applies half-duplex, is the oracle.  At C=1 the
-        # hop consumes no rng, so both engines share these pins.
+        # channel the pass drops listens in this batch; scalar runs on
+        # the dense oracle, which always applies half-duplex, are the
+        # reference.  At C=1 the hop consumes no rng, so both engines
+        # share these pins.
         seen, dropped = set(), []
 
         def spy(*args, **kwargs):
@@ -323,7 +331,8 @@ class TestHalfDuplexSkip:
 
         mk_p = lambda: OneToNBroadcast(4, OneToNParams.sim())  # noqa: E731
         seeds = [0, 1, 2]
-        serial = [engine(mk_p(), SilentAdversary()).run(s) for s in seeds]
+        with dense_oracle():
+            serial = [engine(mk_p(), SilentAdversary()).run(s) for s in seeds]
         monkeypatch.setattr(simulator, "resolve_phase_batch_core", spy)
         batch = engine(mk_p(), SilentAdversary()).run_batch(seeds)
         assert seen == {expected}
