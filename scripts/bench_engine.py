@@ -23,7 +23,11 @@ sampling / adversary / resolve / accounting, read from the telemetry
 spans, with the residual loop overhead) and merges a ``batch_profile``
 section, plus a ``one_trial_phases`` section: the per-phase stage cost
 of ``oneone_serial``-shaped runs (Figure 1 and KSY, n=2) on the scalar
-loop; ``--quick`` shrinks both to a smoke run for CI.
+loop, and a ``fig2_lockstep`` section: the stage split of Figure 2
+broadcasts shaped like ``broadcast_batched``'s jammed cells (n=16 and
+n=64, 8 trials in one lockstep group, jammed to epoch 10), read from
+the ``sim.run_batch`` spans; ``--quick`` shrinks them to a smoke run
+for CI.
 """
 
 from __future__ import annotations
@@ -130,6 +134,24 @@ def _one_trial_workloads():
                 ksy.first_epoch + 3, q=1.0, target_listener=True
             ),
         ),
+    }
+
+
+def _fig2_lockstep_cells():
+    """Figure 2 broadcast cells shaped like the jammed cells of the
+    ``broadcast_batched`` bench workload: n nodes, the epoch-target
+    jammer at epoch 10 (q = 0.6), trials in one lockstep group."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from repro.adversaries import EpochTargetJammer
+    from repro.protocols import OneToNBroadcast, OneToNParams
+
+    params = OneToNParams.sim()
+    return {
+        f"n{n}_jam10": (
+            lambda n=n: OneToNBroadcast(n, params),
+            lambda: EpochTargetJammer(10, q=0.6),
+        )
+        for n in (16, 64)
     }
 
 
@@ -260,8 +282,10 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
     ``sim.run`` / ``sim.run_batch`` spans, and reports each stage's
     share of the wall time (protocol / sampling / adversary / resolve /
     accounting) plus the residual loop overhead
-    (``wall - sum(stages)``).  ``quick`` shrinks the trial count for a
-    CI smoke run and skips writing ``BENCH_engine.json``.
+    (``wall - sum(stages)``).  Then times the one-trial phases and the
+    Figure 2 lockstep cells the module docstring describes.  ``quick``
+    shrinks the trial counts for a CI smoke run and skips writing
+    ``BENCH_engine.json``.
     """
     workloads = _batch_workloads()
     from repro.engine.simulator import Simulator
@@ -338,10 +362,44 @@ def bench_profile(quick: bool = False, write: bool | None = None) -> int:
             f"{per_phase['resolve']:.1f} us/phase"
         )
 
+    # Figure 2 on the lockstep loop: how its steps split over the
+    # stages, read from the sim.run_batch spans.  Printed in seconds, so
+    # the smoke run's per-stage percentage lines stay the two above.
+    fig2 = {}
+    for name, (mk_p, mk_a) in _fig2_lockstep_cells().items():
+        seeds = list(range(2 if quick else 8))
+        with tempfile.TemporaryDirectory() as tmp, session(tmp) as sink:
+            Simulator(mk_p(), mk_a()).run_batch(
+                seeds, adversaries=[mk_a() for _ in seeds]
+            )
+            spans = [
+                e for e in read_events(sink.run_dir)
+                if e.get("name") == "sim.run_batch"
+            ]
+        wall = sum(e["dur"] for e in spans)
+        prof = {
+            k: sum(e["attrs"]["stages"][k] for e in spans)
+            for k in sorted(spans[0]["attrs"]["stages"])
+        }
+        prof["loop_overhead"] = wall - sum(prof.values())
+        fig2[name] = {
+            "trials": len(seeds),
+            "phases": sum(e["attrs"]["phases"] for e in spans),
+            "events": sum(e["attrs"]["events"] for e in spans),
+            "wall_s": round(wall, 6),
+            "stages_s": {k: round(v, 6) for k, v in sorted(prof.items())},
+            "stage_fractions": {
+                k: round(v / wall, 4) for k, v in sorted(prof.items())
+            },
+        }
+        parts = ", ".join(f"{k} {v:.2f}s" for k, v in sorted(prof.items()))
+        print(f"  fig2 lockstep {name}: wall {wall:.2f}s ({parts})")
+
     if write:
         record = json.loads(OUT.read_text()) if OUT.exists() else {}
         record["batch_profile"] = {"e1_style_one_to_one": section}
         record["one_trial_phases"] = one_trial
+        record["fig2_lockstep"] = fig2
         record["machine"] = _machine()
         OUT.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
         print(f"wrote {OUT}")

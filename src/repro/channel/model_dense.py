@@ -22,18 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro.channel.events import (
+    _KIND_HI,
+    _KIND_LO,
     N_STATUS,
     JamPlan,
     ListenEvents,
     PhaseOutcome,
     SendEvents,
     SlotStatus,
-    TxKind,
 )
 from repro.errors import SimulationError
-
-_KIND_LO = min(int(k) for k in TxKind)
-_KIND_HI = max(int(k) for k in TxKind)
 
 __all__ = ["resolve_phase_dense", "slot_content"]
 
@@ -89,9 +87,9 @@ def validate_phase_inputs(
         listens.slots.min() < 0 or listens.slots.max() >= length
     ):
         raise SimulationError("listen event slot index out of range")
-    for kinds in (sends.kinds, plan.spoof_kinds):  # heard as SlotStatus
-        if len(kinds) and (kinds.min() < _KIND_LO or kinds.max() > _KIND_HI):
-            raise SimulationError("transmission kinds must be TxKind values")
+    kinds = sends.kinds  # heard as SlotStatus (JamPlan checks its spoofs)
+    if len(kinds) and (kinds.min() < _KIND_LO or kinds.max() > _KIND_HI):
+        raise SimulationError("transmission kinds must be TxKind values")
 
     if groups is None:
         return np.zeros(n_nodes, dtype=np.int64)

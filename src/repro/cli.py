@@ -431,7 +431,7 @@ def _trace(seed: int, jam: float, budget: int, n_phases: int) -> int:
     verified = verify_trace(recorder)
     print(
         f"success={result.success}  T={result.adversary_cost}  "
-        f"costs={list(result.node_costs)}  phases={result.phases}  "
+        f"costs={result.node_costs.tolist()}  phases={result.phases}  "
         f"(replay audit: {verified} phases exact)"
     )
     print("glyphs: S sent/delivered, x sent/lost, M heard m, n heard noise,")

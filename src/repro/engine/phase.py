@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.channel.events import N_STATUS, SlotStatus, TxKind
+from repro.channel.events import _KIND_HI, _KIND_LO, N_STATUS, SlotStatus
 from repro.errors import ProtocolError
 
 __all__ = [
@@ -22,12 +22,6 @@ __all__ = [
     "BatchPhaseSpec",
     "BatchPhaseObservation",
 ]
-
-# TxKind values are contiguous, so the spec validator's membership test
-# reduces to a range check (no per-phase np.unique on the hot path).
-_KIND_LO = min(int(k) for k in TxKind)
-_KIND_HI = max(int(k) for k in TxKind)
-assert {int(k) for k in TxKind} == set(range(_KIND_LO, _KIND_HI + 1))
 
 
 @dataclass

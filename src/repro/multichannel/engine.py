@@ -66,7 +66,7 @@ def _half_duplex(sends: SendEvents, listens: ListenEvents,
     pos = np.searchsorted(send_keys, listen_keys)
     safe = np.minimum(pos, len(send_keys) - 1)
     keep = send_keys[safe] != listen_keys
-    return ListenEvents(listens.nodes[keep], listens.slots[keep])
+    return ListenEvents._from_arrays(listens.nodes[keep], listens.slots[keep])
 
 
 class HoppingChannels:
@@ -110,9 +110,14 @@ class HoppingChannels:
         """
         listens = _half_duplex(sends, listens, length)
         C = self.n_channels
+        # The sampler's arrays stay canonical through the filter and hop.
         return (
-            SendEvents(sends.nodes, _hop(sends.slots, length, C, rng), sends.kinds),
-            ListenEvents(listens.nodes, _hop(listens.slots, length, C, rng)),
+            SendEvents._from_arrays(
+                sends.nodes, _hop(sends.slots, length, C, rng), sends.kinds
+            ),
+            ListenEvents._from_arrays(
+                listens.nodes, _hop(listens.slots, length, C, rng)
+            ),
         )
 
     def context(

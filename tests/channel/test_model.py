@@ -14,7 +14,7 @@ from repro.channel.events import (
 )
 from repro.channel.model import resolve_phase, slot_content
 from repro.channel.model_dense import resolve_phase_dense
-from repro.errors import SimulationError
+from repro.errors import AdversaryError, SimulationError
 
 
 def sends(*triples):
@@ -166,10 +166,10 @@ class TestResolvePhase:
         with pytest.raises(SimulationError):
             resolver(4, 1, sends((0, 1, kind)), ListenEvents.empty(),
                      JamPlan.silent(4))
-        plan = JamPlan(4, spoof_slots=np.array([1]),
-                       spoof_kinds=np.array([kind], dtype=np.int8))
-        with pytest.raises(SimulationError):
-            resolver(4, 1, SendEvents.empty(), ListenEvents.empty(), plan)
+        # A plan refuses spoof kinds outside TxKind where it is built.
+        with pytest.raises(AdversaryError, match="TxKind"):
+            JamPlan(4, spoof_slots=np.array([1]),
+                    spoof_kinds=np.array([kind], dtype=np.int8))
 
     def test_groups_shape_checked(self):
         with pytest.raises(SimulationError):

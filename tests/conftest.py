@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,17 @@ def stack_outcomes(outcomes) -> BatchPhaseOutcome:
     )
 
 
+def calling_loop(depth: int = 1) -> str:
+    """``"run"`` when the scalar phase loop ``Simulator._run`` made the
+    call that entered the function ``depth`` frames up from the caller,
+    ``"run_batch"`` when the lockstep loop ``_run_batch`` made it.  Both
+    loops pass ``validate=False``, so the caller's frame is what tells
+    them apart."""
+    name = sys._getframe(depth + 1).f_code.co_name
+    assert name in ("_run", "_run_batch"), name
+    return name[1:]
+
+
 @pytest.fixture
 def dense_oracle():
     """A context manager that runs both phase loops on the dense oracle.
@@ -43,9 +55,9 @@ def dense_oracle():
     stacked by :func:`stack_outcomes`.  The oracle always applies
     half-duplex, so a run on the hopping medium, where the engine skips
     the sparse kernel's half-duplex pass, proves that skip exact.
-    ``calls["run"]`` counts the scalar loop's calls (one trial, inputs
-    validated per phase) and ``calls["run_batch"]`` the lockstep loop's
-    (``validate=False``), in this process; forked executor workers
+    ``calls["run"]`` counts the scalar loop's calls (one trial) and
+    ``calls["run_batch"]`` the lockstep loop's, told apart by
+    :func:`calling_loop`, in this process; forked executor workers
     inherit the patch but count in their own copy.
     """
     from repro.engine import simulator
@@ -58,7 +70,7 @@ def dense_oracle():
             lengths, n_nodes, sends_list, listens_list, plans, groups_list,
             validate=True, half_duplex=True,
         ):
-            calls["run" if validate else "run_batch"] += 1
+            calls[calling_loop()] += 1
             return stack_outcomes([
                 resolve_phase_dense(
                     int(length), n_nodes, sends, listens, plan, groups=groups

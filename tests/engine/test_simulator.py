@@ -10,7 +10,12 @@ from repro.adversaries.basic import SilentAdversary, SuffixJammer
 from repro.channel.events import JamPlan, TxKind
 from repro.engine.phase import PhaseObservation, PhaseSpec
 from repro.engine.simulator import Simulator, run
-from repro.errors import BudgetExceededError, ProtocolError
+from repro.errors import (
+    AdversaryError,
+    BudgetExceededError,
+    ProtocolError,
+    SimulationError,
+)
 from repro.protocols.base import Protocol
 
 
@@ -177,3 +182,31 @@ class TestAdversaryContract:
         adv = CountingSuffix()
         run(PingProtocol(phases=3), adv, seed=9)
         assert adv.spents == [0, 32, 64]
+
+    @pytest.mark.parametrize("kind", [0, 9])
+    def test_spoof_kinds_outside_txkind_refused(self, kind):
+        # The resolver packs kinds into three bits beside the slot, so
+        # kind 9 would land on the next slot; both loops must refuse it.
+        class Spoofer(Adversary):
+            def plan_phase(self, ctx):
+                return JamPlan(
+                    ctx.length, spoof_slots=np.array([1]),
+                    spoof_kinds=np.array([kind], dtype=np.int8),
+                )
+
+        sim = Simulator(PingProtocol(phases=3), Spoofer())
+        with pytest.raises(AdversaryError, match="TxKind"):
+            sim.run(1)
+        with pytest.raises(AdversaryError, match="TxKind"):
+            sim.run_batch([1, 2])
+
+    def test_plan_length_checked_by_both_loops(self):
+        class Short(Adversary):
+            def plan_phase(self, ctx):
+                return JamPlan.silent(ctx.length - 1)
+
+        sim = Simulator(PingProtocol(phases=3), Short())
+        with pytest.raises(SimulationError, match="does not match"):
+            sim.run(1)
+        with pytest.raises(SimulationError, match="does not match"):
+            sim.run_batch([1, 2])
