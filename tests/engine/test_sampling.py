@@ -112,6 +112,14 @@ class TestSampleActionEvents:
                 rng, 10, np.array([1.2]), np.ones(1, dtype=np.int8), np.zeros(1)
             )
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_listen_probability_out_of_range(self, rng, bad):
+        with pytest.raises(SimulationError, match=r"lie in \[0, 1\]"):
+            sample_action_events(
+                rng, 10, np.array([0.2, 0.0]), np.ones(2, dtype=np.int8),
+                np.array([0.3, bad]),
+            )
+
     def test_per_node_rates(self, rng):
         n, L, reps = 3, 400, 60
         probs = np.array([0.01, 0.1, 0.5])
